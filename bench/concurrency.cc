@@ -9,11 +9,10 @@
 //     Warm throughput should scale until the pool saturates; warm vs. cold
 //     shows the planning cost the cache amortizes away.
 //
-//  2. Capped plan cache, LRU vs. FIFO — a skewed working set (per client
-//     per round: many evaluations cycling a small shared hot set + one
-//     one-off size) with the cache capped below the working-set size. LRU
-//     keeps the hot templates resident (hit rate stays near the hot
-//     fraction); FIFO lets the one-off stream push them out and thrashes.
+//  2. Capped LRU plan cache — a skewed working set (per client per round:
+//     many evaluations cycling a small shared hot set + one one-off size)
+//     with the cache capped below the working-set size. LRU keeps the hot
+//     templates resident, so the warm hit rate stays near the hot fraction.
 //
 //  3. Loaded pool: fixed vs. adaptive vs. adaptive+batching — half the
 //     clients run large pooled plans to congest the queue while the other
@@ -110,20 +109,18 @@ SweepResult RunClients(int num_clients, long n) {
   return r;
 }
 
-// ------------------------------------------------- capped cache, LRU/FIFO ----
+// ------------------------------------------------------ capped LRU cache ----
 
-struct PolicyResult {
+struct CappedCacheResult {
   double warm_hit_rate = 0;  // measured after one warmup round
   std::int64_t evictions = 0;
 };
 
 // Skewed access: per client per round, kHotEvals evaluations cycling over
 // kHotKeys shared hot sizes plus ONE one-off size never seen again. The
-// cache cap leaves room for the hot set plus a couple of one-offs — under
-// LRU the constantly touched hot templates are never the victim; under FIFO
-// each one-off eviction lands on the oldest *insertion*, i.e. a hot
-// template, and the reinsert cascades into the next one.
-PolicyResult RunCappedCache(mz::EvictionPolicy policy, int num_clients, long n_hot) {
+// cache cap leaves room for the hot set plus a couple of one-offs, and the
+// constantly touched hot templates are never the LRU victim.
+CappedCacheResult RunCappedCache(int num_clients, long n_hot) {
   constexpr int kHotKeys = 4;
   constexpr int kHotEvals = 16;  // four passes over the hot set per round
   constexpr int kRounds = 6;
@@ -134,7 +131,6 @@ PolicyResult RunCappedCache(mz::EvictionPolicy policy, int num_clients, long n_h
       .max_pool_sessions = 2,
       .serial_cutoff_elems = 4096,
       .plan_cache_entries = kCacheCap,
-      .plan_cache_policy = policy,
   });
 
   auto client_body = [&](int c, int rounds, bool measured) {
@@ -177,7 +173,7 @@ PolicyResult RunCappedCache(mz::EvictionPolicy policy, int num_clients, long n_h
     t.join();
   }
 
-  PolicyResult r;
+  CappedCacheResult r;
   const double hits = static_cast<double>(ctx.plan_cache().hits() - hits0);
   const double misses = static_cast<double>(ctx.plan_cache().misses() - misses0);
   r.warm_hit_rate = hits + misses > 0 ? hits / (hits + misses) : 0.0;
@@ -324,19 +320,17 @@ int main() {
                   static_cast<double>(r.stats.pooled_evals));
   }
 
-  bench::Title("Capped plan cache (6 entries), skewed working set: LRU vs. FIFO");
+  bench::Title("Capped LRU plan cache (6 entries), skewed working set");
   bench::Note("16 clients x 6 rounds x (16 hot evals over 4 shared sizes + 1 one-off size); "
-              "warm hit rate should approach the 16/17 ~ 94% hot fraction under LRU and "
-              "collapse under FIFO");
-  const long n_hot = bench::Scaled(1 << 14);
-  std::printf("%8s %14s %12s\n", "policy", "warm hit rate", "evictions");
-  for (mz::EvictionPolicy policy : {mz::EvictionPolicy::kLru, mz::EvictionPolicy::kFifo}) {
-    PolicyResult r = RunCappedCache(policy, /*num_clients=*/16, n_hot);
-    const char* name = policy == mz::EvictionPolicy::kLru ? "LRU" : "FIFO";
-    std::printf("%8s %13.1f%% %12lld\n", name, 100.0 * r.warm_hit_rate,
+              "warm hit rate should approach the 16/17 ~ 94% hot fraction");
+  {
+    const long n_hot = bench::Scaled(1 << 14);
+    CappedCacheResult r = RunCappedCache(/*num_clients=*/16, n_hot);
+    std::printf("%8s %14s %12s\n", "policy", "warm hit rate", "evictions");
+    std::printf("%8s %13.1f%% %12lld\n", "LRU", 100.0 * r.warm_hit_rate,
                 static_cast<long long>(r.evictions));
-    bench::Metric("concurrency", "capped_cache", name, "warm_hit_rate", r.warm_hit_rate);
-    bench::Metric("concurrency", "capped_cache", name, "evictions",
+    bench::Metric("concurrency", "capped_cache", "LRU", "warm_hit_rate", r.warm_hit_rate);
+    bench::Metric("concurrency", "capped_cache", "LRU", "evictions",
                   static_cast<double>(r.evictions));
   }
 

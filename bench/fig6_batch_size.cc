@@ -6,14 +6,13 @@
 // stop fitting in cache and lose the pipelining benefit; the heuristic lands
 // within ~10% of the best point.
 //
-// Extension (ISSUE 5): a footprint-blowup workload — a narrow producer stage
-// (small per-element footprint → large batches) feeding a wide consumer
-// stage across an elided boundary (many live arrays → the carried batches
-// overflow L2 several times over). Sweeps the single global heuristic
-// (batch_per_stage=false: the consumer inherits the producer's granularity)
-// against footprint-aware per-stage batching (the carried pieces re-batch
-// to the consumer's size), plus the no-elision baseline. Emits
-// MOZART_BENCH_JSON metrics for BENCH_PR5.json.
+// Extension: a footprint-blowup workload — a narrow producer stage (small
+// per-element footprint → large batches) feeding a wide consumer stage
+// across an elided boundary (many live arrays → carried batches at the
+// producer's granularity would overflow L2 several times over). Footprint-
+// aware per-stage batching re-batches the carried pieces to the consumer's
+// size; the no-elision baseline merges and re-splits instead. Emits
+// MOZART_BENCH_JSON metrics.
 #include <cstdio>
 #include <vector>
 
@@ -109,12 +108,10 @@ void RunFootprintBlowup(long n, int wide, int passes, int threads) {
   struct Config {
     const char* name;
     bool elide;
-    bool per_stage;
   };
   constexpr Config kConfigs[] = {
-      {"-elide", false, true},          // merge + re-split: correct batch, boundary cost
-      {"+elide,global", true, false},   // inherit producer granularity (pre-ISSUE-5)
-      {"+elide,per-stage", true, true}, // re-batch carried pieces to the stage's size
+      {"-elide", false},           // merge + re-split: correct batch, boundary cost
+      {"+elide,per-stage", true},  // re-batch carried pieces to the stage's size
   };
   const char* workload = "footprint-blowup";
   double base_seconds = 0;
@@ -122,7 +119,6 @@ void RunFootprintBlowup(long n, int wide, int passes, int threads) {
     mz::RuntimeOptions opts;
     opts.num_threads = threads;
     opts.elide_boundaries = cfg.elide;
-    opts.batch_per_stage = cfg.per_stage;
     mz::Runtime rt(opts);
     FootprintBlowup w(n, wide, passes);
     w.Run(&rt);  // warm up (touches every page)

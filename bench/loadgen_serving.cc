@@ -1,6 +1,7 @@
 // Closed-loop serving load generator: adversarial multi-tenant traffic over
-// one ServingContext (ISSUE 8). Three experiments, each an ablation pair so
-// the new policy and its baseline land in the same BENCH json:
+// one ServingContext. Experiments 2 and 4–6 are ablation pairs, so a policy
+// and its baseline land in the same BENCH json; 1 and 3 measure the single
+// admission and cache-accounting policy the runtime ships:
 //
 //  1. Fairness under a chatty neighbor — 4 chatty tenants x 3 connections
 //     each vs. 12 sparse single-connection tenants, every connection a
@@ -11,8 +12,8 @@
 //     index over per-TENANT completions, plus per-class p50/p95/p99 of
 //     request latency and of per-request admission wait. DRR should hold
 //     Jain near 1.0 (each tenant is one rotation slot, however many
-//     connections it opens); the FIFO ablation serves per *connection*, so
-//     chatty tenants earn ~3x and Jain drops toward 0.75.
+//     connections it opens), where one arrival-order queue would serve per
+//     *connection* and drop Jain toward 0.75.
 //
 //  2. Lone client vs. the batch window — an OPEN arrival process (the
 //     client paces submissions with exponential think time, independent of
@@ -22,12 +23,10 @@
 //     collapses the wait. Reported: per-eval latency percentiles and the
 //     total adapted window the leaders actually chose.
 //
-//  3. Plan-cache byte budget, allocator-true vs. structural-estimate
-//     accounting — a stream of distinct plan templates against one byte
-//     budget. True accounting charges what the entries really allocate
-//     (capacity slack, allocator rounding, string buffers), so fewer stay
-//     resident; the estimate ablation undercharges and overpacks the same
-//     budget. Reported: resident entries/bytes and evictions per policy.
+//  3. Plan-cache byte budget — a stream of distinct plan templates against
+//     one 64 KiB budget. The cache charges what the entries really allocate
+//     (capacity slack, allocator rounding, string buffers). Reported:
+//     resident entries, charged bytes and evictions.
 //
 //  4. Deadline-bearing clients, shedding on vs. off (ISSUE 9) — 12 closed-
 //     loop clients with a per-request deadline hammer ONE admission token
@@ -112,7 +111,7 @@ struct FairnessResult {
   long sessions_created = 0;
 };
 
-FairnessResult RunFairness(bool drr, long n_base, long run_ms) {
+FairnessResult RunFairness(long n_base, long run_ms) {
   constexpr int kChattyTenants = 4, kConnsPerChatty = 3, kSparseTenants = 12;
   constexpr int kTenants = kChattyTenants + kSparseTenants;
   constexpr int kEvalsPerSession = 8;  // session churn: fresh Session after this many
@@ -121,7 +120,6 @@ FairnessResult RunFairness(bool drr, long n_base, long run_ms) {
   serving.pool_threads = 4;
   serving.max_pool_sessions = 1;  // one token: admission order IS the schedule
   serving.serial_cutoff_elems = 256;  // every request in this mix is pooled-class
-  serving.fair_admission = drr;
   mz::ServingContext ctx(serving);
 
   std::vector<std::atomic<std::int64_t>> per_tenant(kTenants);
@@ -241,22 +239,21 @@ LoneClientResult RunLoneClient(bool adaptive, long n, int evals) {
   return res;
 }
 
-// ------------------------- 3. cache byte budget, true vs. estimate bytes ----
+// ------------------------------------------------- 3. cache byte budget ----
 
-struct CacheAccountingResult {
+struct CacheBudgetResult {
   std::size_t resident_entries = 0;
   std::size_t charged_bytes = 0;
   std::int64_t evictions = 0;
 };
 
-CacheAccountingResult RunCacheAccounting(bool true_bytes, int templates, long n_base) {
+CacheBudgetResult RunCacheBudget(int templates, long n_base) {
   mz::ServingOptions serving;
   serving.pool_threads = 2;
   serving.max_pool_sessions = 2;
   serving.serial_cutoff_elems = 1 << 20;  // inline: planning cost is the workload
   serving.plan_cache_entries = 1 << 14;   // entry cap out of the way
   serving.plan_cache_bytes = 64 * 1024;   // the contended budget
-  serving.plan_cache_true_bytes = true_bytes;
   mz::ServingContext ctx(serving);
 
   {
@@ -275,7 +272,7 @@ CacheAccountingResult RunCacheAccounting(bool true_bytes, int templates, long n_
     }
   }
 
-  CacheAccountingResult res;
+  CacheBudgetResult res;
   res.resident_entries = ctx.plan_cache().size();
   res.charged_bytes = ctx.plan_cache().bytes();
   res.evictions = ctx.plan_cache().evictions();
@@ -637,11 +634,11 @@ int main() {
   const long run_ms = std::max<long>(30, bench::Scaled(400));
   bench::Note("closed loop for " + std::to_string(run_ms) + " ms; zipf sizes " +
               std::to_string(n_fair) + "..." + std::to_string(8 * n_fair) +
-              "; Jain index over per-tenant completions (16 tenants; FIFO floor with this "
-              "mix is (4*3+12)^2 / (16*(4*9+12)) = 0.75)");
-  for (bool drr : {true, false}) {
-    const std::string config = drr ? "drr" : "fifo";
-    FairnessResult r = RunFairness(drr, n_fair, run_ms);
+              "; Jain index over per-tenant completions (16 tenants; per-connection "
+              "service would score (4*3+12)^2 / (16*(4*9+12)) = 0.75)");
+  {
+    const std::string config = "drr";
+    FairnessResult r = RunFairness(n_fair, run_ms);
     std::printf("  %-6s Jain over tenants %.3f   (%ld sessions churned)\n", config.c_str(),
                 r.jain, r.sessions_created);
     EmitClass(config, "chatty", r.chatty);
@@ -672,14 +669,13 @@ int main() {
                   static_cast<double>(r.adapted_window_us));
   }
 
-  bench::Title("Plan-cache byte budget (64 KiB): allocator-true vs. estimated accounting");
+  bench::Title("Plan-cache byte budget (64 KiB), allocator-true accounting");
   const int templates = static_cast<int>(std::max<long>(64, bench::Scaled(192)));
-  bench::Note(std::to_string(templates) + " distinct plan templates inserted; true "
-              "accounting charges real heap footprints (capacity slack, allocator "
-              "rounding), so the same budget holds fewer entries honestly");
-  for (bool true_bytes : {true, false}) {
-    const std::string config = true_bytes ? "true_bytes" : "estimate";
-    CacheAccountingResult r = RunCacheAccounting(true_bytes, templates, /*n_base=*/2048);
+  bench::Note(std::to_string(templates) + " distinct plan templates inserted; the cache "
+              "charges real heap footprints (capacity slack, allocator rounding)");
+  {
+    const std::string config = "true_bytes";
+    CacheBudgetResult r = RunCacheBudget(templates, /*n_base=*/2048);
     std::printf("  %-10s %6zu resident entries, %8zu charged bytes, %6lld evictions\n",
                 config.c_str(), r.resident_entries, r.charged_bytes,
                 static_cast<long long>(r.evictions));

@@ -13,9 +13,13 @@ in scripts/bench.sh), each metric's NEW value is the per-metric median
 across the files: median-of-3 filters the one-off scheduler hiccups that
 dominate single-core CI wall times.
 
-Advisory by design: the exit code is 0 unless the inputs are unusable —
-single-core CI wall times are too noisy to gate on (ROADMAP). Use the
-printed REGRESSION lines in review instead.
+Files measured at a different scale or thread count are not comparable:
+the script exits non-zero, naming both values, when any NEW file's
+"scale" or "threads" differs from OLD's.
+
+Otherwise advisory by design: the exit code is 0 unless the inputs are
+unusable — single-core CI wall times are too noisy to gate on (ROADMAP).
+Use the printed REGRESSION lines in review instead.
 """
 import argparse
 import json
@@ -37,7 +41,10 @@ def load(path):
 
 
 def load_median(paths):
-    """Loads every path and medians each metric across the files that have it."""
+    """Loads every path and medians each metric across the files that have it.
+
+    Returns every file's document (in `paths` order) and the merged metrics.
+    """
     docs, per_file = [], []
     for p in paths:
         doc, metrics = load(p)
@@ -46,7 +53,16 @@ def load_median(paths):
     merged = {}
     for key in {k for metrics in per_file for k in metrics}:
         merged[key] = statistics.median(m[key] for m in per_file if key in m)
-    return docs[0], merged
+    return docs, merged
+
+
+def check_comparable(old_path, old_doc, new_paths, new_docs):
+    """Exits non-zero when a NEW file was measured at another scale or thread count."""
+    for path, doc in zip(new_paths, new_docs):
+        for field in ("threads", "scale"):
+            if doc.get(field) != old_doc.get(field):
+                sys.exit(f"bench_diff: {field} differs: {old_path} has {old_doc.get(field)}, "
+                         f"{path} has {doc.get(field)}; refusing to compare")
 
 
 def main():
@@ -61,14 +77,14 @@ def main():
     args = ap.parse_args()
 
     old_doc, old = load(args.old)
-    new_doc, new = load_median(args.new)
+    new_docs, new = load_median(args.new)
+    check_comparable(args.old, old_doc, args.new, new_docs)
+    new_doc = new_docs[0]
 
     new_desc = args.new[0] if len(args.new) == 1 else \
         f"median of {len(args.new)} runs ({', '.join(args.new)})"
-    print(f"bench_diff: {args.old} (tag {old_doc.get('tag')}, scale {old_doc.get('scale')}) "
-          f"vs {new_desc} (tag {new_doc.get('tag')}, scale {new_doc.get('scale')})")
-    if old_doc.get("scale") != new_doc.get("scale"):
-        print("bench_diff: WARNING: scales differ; ratios are not comparable")
+    print(f"bench_diff: {args.old} (tag {old_doc.get('tag')}, scale {old_doc.get('scale')}, "
+          f"threads {old_doc.get('threads')}) vs {new_desc} (tag {new_doc.get('tag')})")
 
     shared = sorted(set(old) & set(new))
     if not shared:

@@ -14,11 +14,15 @@ namespace mz {
 
 namespace {
 
-AdmissionOptions FixedOptions(int tokens, bool fair) {
+// Half-life (µs) of the queue-depth EWMA between observations: the stored
+// depth is scaled by 2^(-elapsed/half_life) before each new sample folds in,
+// so a burst's shrunk budget cannot outlive the burst.
+constexpr double kDepthDecayHalfLifeUs = 2000.0;
+
+AdmissionOptions FixedOptions(int tokens) {
   AdmissionOptions opts;
   opts.min_tokens = std::max(1, tokens);
   opts.max_tokens = opts.min_tokens;
-  opts.fair = fair;
   return opts;
 }
 
@@ -29,14 +33,12 @@ AdmissionOptions Sanitize(AdmissionOptions opts) {
   opts.max_cutoff_elems = std::max(opts.base_cutoff_elems, opts.max_cutoff_elems);
   opts.ewma_alpha = std::clamp(opts.ewma_alpha, 1e-3, 1.0);
   opts.congested_depth = std::max(1e-3, opts.congested_depth);
-  opts.decay_half_life_us = std::max(0.0, opts.decay_half_life_us);
   return opts;
 }
 
 }  // namespace
 
-AdmissionGate::AdmissionGate(int tokens, bool fair)
-    : adaptive_(false), opts_(FixedOptions(tokens, fair)) {
+AdmissionGate::AdmissionGate(int tokens) : adaptive_(false), opts_(FixedOptions(tokens)) {
   effective_tokens_ = opts_.max_tokens;
   effective_cutoff_ = 0;  // unused: cutoff_elems returns the fallback
 }
@@ -49,10 +51,6 @@ AdmissionGate::AdmissionGate(const AdmissionOptions& opts)
 
 AdmissionGate::~AdmissionGate() = default;
 
-bool AdmissionGate::HasWaitersLocked() const {
-  return opts_.fair ? !rr_.empty() : !fifo_.empty();
-}
-
 AdmissionGate::Ticket AdmissionGate::Acquire(std::uint64_t session, int weight,
                                              const CancelToken& cancel) {
   MZ_FAULT("admission.acquire");
@@ -64,7 +62,7 @@ AdmissionGate::Ticket AdmissionGate::Acquire(std::uint64_t session, int weight,
   }
   // Fast path: a free token and nobody queued ahead. Never barge past
   // waiters — that is exactly the unfairness the scheduler exists to stop.
-  if (!HasWaitersLocked() && in_use_ < effective_tokens_) {
+  if (rr_.empty() && in_use_ < effective_tokens_) {
     ++in_use_;
     return Ticket(this, session, NowNanos());
   }
@@ -93,16 +91,12 @@ AdmissionGate::Ticket AdmissionGate::Acquire(std::uint64_t session, int weight,
     }
   }
   Waiter self;
-  if (opts_.fair) {
-    auto [it, inserted] = queues_.try_emplace(session);
-    SessionQueue& q = it->second;
-    q.weight = std::max(1, weight);
-    q.waiters.push_back(&self);
-    if (inserted) {
-      rr_.push_back(session);
-    }
-  } else {
-    fifo_.push_back(&self);
+  auto [it, inserted] = queues_.try_emplace(session);
+  SessionQueue& q = it->second;
+  q.weight = std::max(1, weight);
+  q.waiters.push_back(&self);
+  if (inserted) {
+    rr_.push_back(session);
   }
   ++waiting_;
   // A token may be free (e.g. the budget grew between the release that
@@ -156,23 +150,17 @@ AdmissionGate::Ticket AdmissionGate::Acquire(std::uint64_t session, int weight,
 }
 
 void AdmissionGate::RemoveWaiterLocked(std::uint64_t session, Waiter* waiter) {
-  if (opts_.fair) {
-    auto it = queues_.find(session);
-    MZ_CHECK_MSG(it != queues_.end(), "AdmissionGate: withdrawing from an absent session queue");
-    auto& dq = it->second.waiters;
-    auto pos = std::find(dq.begin(), dq.end(), waiter);
-    MZ_CHECK_MSG(pos != dq.end(), "AdmissionGate: withdrawing waiter not in its queue");
-    dq.erase(pos);
-    if (dq.empty()) {
-      queues_.erase(it);
-      auto rpos = std::find(rr_.begin(), rr_.end(), session);
-      MZ_CHECK_MSG(rpos != rr_.end(), "AdmissionGate: queued session missing from rotation");
-      rr_.erase(rpos);
-    }
-  } else {
-    auto pos = std::find(fifo_.begin(), fifo_.end(), waiter);
-    MZ_CHECK_MSG(pos != fifo_.end(), "AdmissionGate: withdrawing waiter not in FIFO");
-    fifo_.erase(pos);
+  auto it = queues_.find(session);
+  MZ_CHECK_MSG(it != queues_.end(), "AdmissionGate: withdrawing from an absent session queue");
+  auto& dq = it->second.waiters;
+  auto pos = std::find(dq.begin(), dq.end(), waiter);
+  MZ_CHECK_MSG(pos != dq.end(), "AdmissionGate: withdrawing waiter not in its queue");
+  dq.erase(pos);
+  if (dq.empty()) {
+    queues_.erase(it);
+    auto rpos = std::find(rr_.begin(), rr_.end(), session);
+    MZ_CHECK_MSG(rpos != rr_.end(), "AdmissionGate: queued session missing from rotation");
+    rr_.erase(rpos);
   }
 }
 
@@ -337,45 +325,35 @@ bool AdmissionGate::draining() const {
 
 bool AdmissionGate::ScheduleLocked() {
   bool admitted_any = false;
-  if (opts_.fair) {
-    while (in_use_ < effective_tokens_ && !rr_.empty()) {
-      const std::uint64_t sid = rr_.front();
-      auto it = queues_.find(sid);
-      MZ_CHECK_MSG(it != queues_.end(), "AdmissionGate: rotation names an absent session");
-      SessionQueue& q = it->second;
-      // Earn a turn's worth of service on entering the front. Tokens usually
-      // free one at a time, so a turn spans several ScheduleLocked calls; the
-      // leftover deficit (>= 1) marks a turn in progress and must not be
-      // topped up again, or weights would stop mattering.
-      if (q.deficit < 1.0) {
-        q.deficit += q.weight;
-      }
-      while (!q.waiters.empty() && q.deficit >= 1.0 && in_use_ < effective_tokens_) {
-        q.waiters.front()->admitted = true;
-        q.waiters.pop_front();
-        q.deficit -= 1.0;
-        ++in_use_;
-        --waiting_;
-        admitted_any = true;
-      }
-      if (q.waiters.empty()) {
-        rr_.pop_front();
-        queues_.erase(it);  // deficit does not persist across idle periods
-      } else if (q.deficit < 1.0) {
-        rr_.pop_front();
-        rr_.push_back(sid);  // turn spent, still backlogged: next round
-      }
-      // else: tokens ran out mid-turn; the outer condition exits and the
-      // session resumes its turn at the front on the next release.
+  while (in_use_ < effective_tokens_ && !rr_.empty()) {
+    const std::uint64_t sid = rr_.front();
+    auto it = queues_.find(sid);
+    MZ_CHECK_MSG(it != queues_.end(), "AdmissionGate: rotation names an absent session");
+    SessionQueue& q = it->second;
+    // Earn a turn's worth of service on entering the front. Tokens usually
+    // free one at a time, so a turn spans several ScheduleLocked calls; the
+    // leftover deficit (>= 1) marks a turn in progress and must not be
+    // topped up again, or weights would stop mattering.
+    if (q.deficit < 1.0) {
+      q.deficit += q.weight;
     }
-  } else {
-    while (in_use_ < effective_tokens_ && !fifo_.empty()) {
-      fifo_.front()->admitted = true;
-      fifo_.pop_front();
+    while (!q.waiters.empty() && q.deficit >= 1.0 && in_use_ < effective_tokens_) {
+      q.waiters.front()->admitted = true;
+      q.waiters.pop_front();
+      q.deficit -= 1.0;
       ++in_use_;
       --waiting_;
       admitted_any = true;
     }
+    if (q.waiters.empty()) {
+      rr_.pop_front();
+      queues_.erase(it);  // deficit does not persist across idle periods
+    } else if (q.deficit < 1.0) {
+      rr_.pop_front();
+      rr_.push_back(sid);  // turn spent, still backlogged: next round
+    }
+    // else: tokens ran out mid-turn; the outer condition exits and the
+    // session resumes its turn at the front on the next release.
   }
   return admitted_any;
 }
@@ -391,9 +369,9 @@ void AdmissionGate::ObserveAtNanos(std::size_t queue_depth, std::int64_t now_ns)
   bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (opts_.decay_half_life_us > 0.0 && last_observe_ns_ != 0 && now_ns > last_observe_ns_) {
+    if (last_observe_ns_ != 0 && now_ns > last_observe_ns_) {
       const double elapsed_us = static_cast<double>(now_ns - last_observe_ns_) * 1e-3;
-      ewma_depth_ *= std::exp2(-elapsed_us / opts_.decay_half_life_us);
+      ewma_depth_ *= std::exp2(-elapsed_us / kDepthDecayHalfLifeUs);
     }
     last_observe_ns_ = now_ns;
     ewma_depth_ = opts_.ewma_alpha * static_cast<double>(queue_depth) +

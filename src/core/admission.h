@@ -23,24 +23,24 @@
 //    max_cutoff_elems — under load, progressively larger plans run on their
 //    caller instead of queuing behind someone else's full-width stages.
 //
-// Observations decay toward zero between samples (half-life
-// decay_half_life_us), so a congestion burst's shrunk budget does not
-// persist while the pool sits idle: the next Observe after a quiet period
-// sees a discounted EWMA, whatever the sampling cadence was.
+// Observations decay toward zero between samples (2 ms half-life), so a
+// congestion burst's shrunk budget does not persist while the pool sits
+// idle: the next Observe after a quiet period sees a discounted EWMA,
+// whatever the sampling cadence was.
 //
 // Both responses are monotone in the smoothed depth and clamped to their
 // configured ranges; min_tokens >= 1 guarantees large plans always admit
 // eventually (no starvation). Tickets are RAII. Budget shrink never revokes
 // held tickets — it only delays new admissions until the pool drains.
 //
-// Contended tokens are granted by per-session weighted deficit round-robin
-// (fair = true, the default): each Acquire names a session id, waiters queue
-// per session, and free tokens rotate across the sessions that have waiters,
-// each session earning `weight` admissions per round. A sparse session's
-// wait is therefore bounded by (sessions_waiting × hold time), independent
-// of how deep a chatty neighbor's backlog is. fair = false is the ablation:
-// one strict arrival-order FIFO queue, where a flood of waiters from one
-// session delays everyone queued behind it proportionally to the backlog.
+// Contended tokens are granted by per-session weighted deficit round-robin:
+// each Acquire names a session id, waiters queue per session, and free
+// tokens rotate across the sessions that have waiters, each session earning
+// `weight` admissions per round. A sparse session's wait is therefore
+// bounded by (sessions_waiting × hold time), independent of how deep a
+// chatty neighbor's backlog is — where one arrival-order queue lets a flood
+// from one session delay everyone behind it (Jain index 0.99 vs 0.75:
+// loadgen_serving/fairness/*/jain_tenant_index, BENCH_PR10).
 //
 // Deadlines and backpressure (cancel.h): an Acquire carrying a CancelToken
 // participates in three further policies.
@@ -109,20 +109,12 @@ struct AdmissionOptions {
   // Smoothed queue depth treated as full congestion: at or beyond it the
   // token budget sits at min_tokens and the cutoff at max_cutoff_elems.
   double congested_depth = 16.0;
-  // Half-life (µs) of the queue-depth EWMA between observations: the stored
-  // depth is scaled by 2^(-elapsed/half_life) before each new sample folds
-  // in. 0 disables decay (the pre-decay ablation: a burst's shrunk budget
-  // persists until fresh observations wash it out).
-  double decay_half_life_us = 2000.0;
-  // Per-session weighted deficit-round-robin admission of contended tokens.
-  // false = strict arrival-order FIFO (the fairness ablation).
-  bool fair = true;
 };
 
 class AdmissionGate {
  public:
-  // Fixed budget, no adaptation; fair = false selects the FIFO ablation.
-  explicit AdmissionGate(int tokens, bool fair = true);
+  // Fixed budget, no adaptation.
+  explicit AdmissionGate(int tokens);
   explicit AdmissionGate(const AdmissionOptions& opts);
   ~AdmissionGate();
 
@@ -263,9 +255,8 @@ class AdmissionGate {
   void ReleaseToken(std::int64_t grant_ns);
   void RecomputeLocked();   // effective budget/cutoff from ewma_depth_
   bool ScheduleLocked();    // grants free tokens to waiters; true if any
-  bool HasWaitersLocked() const;
   // Withdraws a not-yet-admitted waiter (timed-out or cancelled) from its
-  // session queue / the FIFO, keeping the DRR rotation consistent.
+  // session queue, keeping the DRR rotation consistent.
   void RemoveWaiterLocked(std::uint64_t session, Waiter* waiter);
   std::int64_t EstimatedWaitNanosLocked() const;
 
@@ -279,12 +270,10 @@ class AdmissionGate {
   std::int64_t last_observe_ns_ = 0;
   int effective_tokens_;
   std::int64_t effective_cutoff_;
-  // fair mode: session queues plus the round-robin rotation of sessions that
-  // currently have waiters (a session id is in rr_ iff it is in queues_).
+  // Session queues plus the round-robin rotation of sessions that currently
+  // have waiters (a session id is in rr_ iff it is in queues_).
   std::unordered_map<std::uint64_t, SessionQueue> queues_;
   std::list<std::uint64_t> rr_;
-  // ablation mode: strict arrival order.
-  std::deque<Waiter*> fifo_;
   // Smoothed token hold time feeding the shedding prediction (same alpha as
   // the depth EWMA); 0 until the first release.
   double ewma_hold_ns_ = 0.0;

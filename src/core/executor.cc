@@ -17,6 +17,11 @@ namespace mz {
 
 namespace {
 
+// A carried stage is re-batched when its average inherited piece is more
+// than this factor larger (subdivide) or smaller (coalesce) than the batch
+// the stage's own footprint picks.
+constexpr double kRebatchThreshold = 2.0;
+
 // First non-empty piece of a per-worker piece table (sample for splitter
 // resolution and Info probes); null when every piece is empty.
 template <typename PieceLists>
@@ -478,67 +483,64 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
   // operands sit cache-resident for the whole stage regardless of the batch
   // size (a hash join's build side), so they charge *resident* bytes that
   // shrink the batch budget instead of per-element bytes.
-  std::int64_t sum_bpe_max = sum_bpe;
   std::int64_t resident_max = 0;
-  if (opts_.batch_per_stage) {
-    for (std::size_t i = 0; i < nb; ++i) {
-      const StageBuffer& def = stage0.buffers[i];
-      if (def.is_broadcast) {
-        continue;  // charged as resident bytes below
-      }
-      if (!st0.bufs[i].carried && def.is_input) {
-        continue;  // fresh inputs already contributed their Info() width
-      }
-      std::int64_t bpe = def.elem_bytes_hint;
-      if (st0.bufs[i].carried) {
-        const Value* sample = FirstPiece(st0.carried_in[i].per_worker);
-        if (sample != nullptr) {
-          try {
-            const Splitter* s = merge_splitter_for(0, i, *sample);
-            RuntimeInfo piece_info = s->Info(*sample, merge_params_for(0, i));
-            if (piece_info.bytes_per_element > 0) {
-              bpe = piece_info.bytes_per_element;
-            }
-          } catch (const std::exception&) {
-            // Unsizable pieces keep the static hint.
-          }
-        }
-      }
-      sum_bpe += bpe;
+  for (std::size_t i = 0; i < nb; ++i) {
+    const StageBuffer& def = stage0.buffers[i];
+    if (def.is_broadcast) {
+      continue;  // charged as resident bytes below
     }
-    sum_bpe_max = sum_bpe;
-    for (int d = 0; d < D; ++d) {
-      const Stage& stage = *region[static_cast<std::size_t>(d)];
-      Scratch::StageExec& st = sc.stages[static_cast<std::size_t>(d)];
-      std::int64_t resident = 0;
-      std::int64_t interior_bpe = 0;
-      for (std::size_t i = 0; i < stage.buffers.size(); ++i) {
-        const StageBuffer& def = stage.buffers[i];
-        if (def.is_broadcast) {
-          if (auto info = registry_->ProbeRuntimeInfo(st.bufs[i].full);
-              info.has_value() && info->bytes_per_element > 0 && info->total_elements > 0) {
-            resident += info->total_elements * info->bytes_per_element;
+    if (!st0.bufs[i].carried && def.is_input) {
+      continue;  // fresh inputs already contributed their Info() width
+    }
+    std::int64_t bpe = def.elem_bytes_hint;
+    if (st0.bufs[i].carried) {
+      const Value* sample = FirstPiece(st0.carried_in[i].per_worker);
+      if (sample != nullptr) {
+        try {
+          const Splitter* s = merge_splitter_for(0, i, *sample);
+          RuntimeInfo piece_info = s->Info(*sample, merge_params_for(0, i));
+          if (piece_info.bytes_per_element > 0) {
+            bpe = piece_info.bytes_per_element;
           }
-          continue;
+        } catch (const std::exception&) {
+          // Unsizable pieces keep the static hint.
         }
-        if (d > 0) {
-          // Fresh interior inputs carry a resolved Info(); fed/produced
-          // buffers fall back to the planner's splitter-declared width.
-          if (st.bufs[i].splitter != nullptr && !st.bufs[i].carried &&
-              st.bufs[i].info.bytes_per_element > 0) {
-            interior_bpe += st.bufs[i].info.bytes_per_element;
-          } else {
-            interior_bpe += def.elem_bytes_hint;
-          }
+      }
+    }
+    sum_bpe += bpe;
+  }
+  std::int64_t sum_bpe_max = sum_bpe;
+  for (int d = 0; d < D; ++d) {
+    const Stage& stage = *region[static_cast<std::size_t>(d)];
+    Scratch::StageExec& st = sc.stages[static_cast<std::size_t>(d)];
+    std::int64_t resident = 0;
+    std::int64_t interior_bpe = 0;
+    for (std::size_t i = 0; i < stage.buffers.size(); ++i) {
+      const StageBuffer& def = stage.buffers[i];
+      if (def.is_broadcast) {
+        if (auto info = registry_->ProbeRuntimeInfo(st.bufs[i].full);
+            info.has_value() && info->bytes_per_element > 0 && info->total_elements > 0) {
+          resident += info->total_elements * info->bytes_per_element;
         }
+        continue;
       }
       if (d > 0) {
-        // One batch walks the region depth by depth, so the live working
-        // set is the widest stage's, not the sum of all stages'.
-        sum_bpe_max = std::max(sum_bpe_max, interior_bpe);
+        // Fresh interior inputs carry a resolved Info(); fed/produced
+        // buffers fall back to the planner's splitter-declared width.
+        if (st.bufs[i].splitter != nullptr && !st.bufs[i].carried &&
+            st.bufs[i].info.bytes_per_element > 0) {
+          interior_bpe += st.bufs[i].info.bytes_per_element;
+        } else {
+          interior_bpe += def.elem_bytes_hint;
+        }
       }
-      resident_max = std::max(resident_max, resident);
     }
+    if (d > 0) {
+      // One batch walks the region depth by depth, so the live working
+      // set is the widest stage's, not the sum of all stages'.
+      sum_bpe_max = std::max(sum_bpe_max, interior_bpe);
+    }
+    resident_max = std::max(resident_max, resident);
   }
 
   // Per-region batch from the footprint maximum. Carried stages need it
@@ -602,12 +604,11 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
     // but never below one piece per worker — that is the parallelism).
     enum class Op { kNone, kSubdivide, kCoalesce };
     Op op = Op::kNone;
-    const double thresh = opts_.rebatch_threshold;
-    if (opts_.batch_per_stage && thresh > 0 && total > 0 && npieces > 0) {
+    if (total > 0 && npieces > 0) {
       const double avg = static_cast<double>(total) / static_cast<double>(npieces);
-      if (avg > static_cast<double>(batch) * thresh) {
+      if (avg > static_cast<double>(batch) * kRebatchThreshold) {
         op = Op::kSubdivide;
-      } else if (avg * thresh < static_cast<double>(batch) && npieces > num_threads) {
+      } else if (avg * kRebatchThreshold < static_cast<double>(batch) && npieces > num_threads) {
         op = Op::kCoalesce;
       }
     }

@@ -25,12 +25,12 @@
 // bytes *that stage* keeps live per element — Info() for freshly split
 // inputs plus the planner's splitter-declared hints for produced values and
 // carried pieces (StageBuffer::elem_bytes_hint). When a consuming stage's
-// chosen granularity diverges from its carried pieces by more than
-// rebatch_threshold, the pieces are re-batched before the stage runs:
-// subdivided (identity streams re-slice the original storage — pointer
-// arithmetic; owned streams re-Split their own pieces when the splitter
-// declares can_subdivide) or coalesced per worker (adjacent pieces merged
-// toward the target batch), preserving order tags and worker affinity.
+// chosen granularity diverges from its carried pieces by more than 2x, the
+// pieces are re-batched before the stage runs: subdivided (identity streams
+// re-slice the original storage — pointer arithmetic; owned streams
+// re-Split their own pieces when the splitter declares can_subdivide) or
+// coalesced per worker (adjacent pieces merged toward the target batch),
+// preserving order tags and worker affinity.
 // Carried sets whose range structure cannot be reconciled (e.g. a second
 // producer stage under dynamic scheduling) are materialized — merged into
 // the slot and re-split like a fresh input — so multi-producer carry chains
@@ -69,17 +69,6 @@ struct ExecOptions {
   // Honor the planner's stage-boundary carry marks (piece passing). Off =
   // the ablation: merge at every stage exit, re-split at every entry.
   bool elide_boundaries = true;
-  // Footprint-aware per-stage batching: include produced values and carried
-  // pieces (via StageBuffer::elem_bytes_hint) in the batch-size footprint,
-  // and re-batch carried pieces whose granularity diverges from the stage's
-  // choice. Off = the pre-footprint behavior: only freshly split inputs
-  // count and carried stages inherit the producer's granularity verbatim.
-  bool batch_per_stage = true;
-  // Re-batch a carried stage when its piece granularity is more than this
-  // factor away from the stage's chosen batch (avg piece > threshold×batch
-  // coalesces nothing but subdivides; avg×threshold < batch coalesces).
-  // <= 0 disables re-batching while keeping the footprint model.
-  double rebatch_threshold = 2.0;
   // Inter-stage pipeline parallelism: execute the planner's pipelineable
   // regions (Stage::pipeline_region) as one overlapped batch walk — batch i
   // runs stage k while batch i-1 runs stage k+1, so downstream compute and

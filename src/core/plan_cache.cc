@@ -76,25 +76,6 @@ std::size_t StringHeapBytes(const std::string& s) {
   return HeapBlockBytes(data, s.capacity() + 1);
 }
 
-std::size_t EstimateBytesFromWords(std::size_t num_words, const Plan& plan_template) {
-  // Fixed bookkeeping: Entry, recency node, bucket slot, pin vector header.
-  std::size_t b = 160;
-  b += num_words * sizeof(std::uint64_t);
-  for (const Stage& stage : plan_template.stages) {
-    b += sizeof(Stage);
-    for (const StageBuffer& buf : stage.buffers) {
-      b += sizeof(StageBuffer);
-      b += buf.params.size() * sizeof(std::int64_t);
-      b += buf.debug_type.size();
-    }
-    for (const PlannedFunc& fn : stage.funcs) {
-      b += sizeof(PlannedFunc);
-      b += fn.args.size() * sizeof(PlannedArg);
-    }
-  }
-  return b;
-}
-
 }  // namespace
 
 RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& registry, int first,
@@ -241,9 +222,7 @@ std::shared_ptr<const Plan> PlanCache::Lookup(const PlanKey& key) {
   if (it != buckets_.end()) {
     for (Entry& entry : it->second) {
       if (entry.words == key.words) {
-        if (opts_.policy == EvictionPolicy::kLru) {
-          order_.splice(order_.end(), order_, entry.order_it);  // promote to MRU
-        }
+        order_.splice(order_.end(), order_, entry.order_it);  // promote to MRU
         ++hits_;  // under mu_: the count can never lag the lookup it records
         return entry.tmpl;  // refcount bump — the template copy, if any,
                             // happens outside the lock (InstantiatePlan)
@@ -297,13 +276,6 @@ void PlanCache::EvictWhileOverBudget(std::uint64_t keep_seq, PlanCacheInsertOutc
   }
 }
 
-std::size_t PlanCache::BytesForEntry(const Entry& entry) const {
-  if (opts_.accounting == CacheAccounting::kEstimate) {
-    return EstimateBytesFromWords(entry.words.size(), *entry.tmpl);
-  }
-  return CountPlanHeapBytes(entry.words, *entry.tmpl, entry.pins);
-}
-
 PlanCacheInsertOutcome PlanCache::Insert(const PlanKey& key, Plan plan_template,
                                          std::vector<std::shared_ptr<const void>> pins) {
   auto tmpl = std::make_shared<const Plan>(std::move(plan_template));
@@ -319,14 +291,12 @@ PlanCacheInsertOutcome PlanCache::Insert(const PlanKey& key, Plan plan_template,
       entry.pins = std::move(pins);
       // Account the entry as stored — true accounting must measure the
       // containers that actually stay resident, not the caller's copies.
-      const std::size_t entry_bytes = BytesForEntry(entry);
+      const std::size_t entry_bytes = CountPlanHeapBytes(entry.words, *entry.tmpl, entry.pins);
       bytes_ += entry_bytes;
       bytes_ -= entry.bytes;
       entry.bytes = entry_bytes;
       outcome.inserted_bytes = entry_bytes;
-      if (opts_.policy == EvictionPolicy::kLru) {
-        order_.splice(order_.end(), order_, entry.order_it);  // a refresh is a touch
-      }
+      order_.splice(order_.end(), order_, entry.order_it);  // a refresh is a touch
       seq = entry.seq;
       refreshed = true;
       break;
@@ -338,7 +308,7 @@ PlanCacheInsertOutcome PlanCache::Insert(const PlanKey& key, Plan plan_template,
     chain.push_back(Entry{seq, key.words, std::move(tmpl), std::move(pins), 0,
                           std::prev(order_.end())});
     Entry& entry = chain.back();
-    entry.bytes = BytesForEntry(entry);
+    entry.bytes = CountPlanHeapBytes(entry.words, *entry.tmpl, entry.pins);
     outcome.inserted_bytes = entry.bytes;
     ++count_;
     bytes_ += entry.bytes;
@@ -384,10 +354,6 @@ std::int64_t PlanCache::evictions() const {
 std::int64_t PlanCache::evicted_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return evicted_bytes_;
-}
-
-std::size_t EstimatePlanBytes(const PlanKey& key, const Plan& plan_template) {
-  return EstimateBytesFromWords(key.words.size(), plan_template);
 }
 
 std::size_t CountPlanHeapBytes(const std::vector<std::uint64_t>& key_words,

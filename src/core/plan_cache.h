@@ -26,18 +26,15 @@
 // be recycled while the entry lives.
 //
 // The cache is bounded two ways: an entry count and a byte budget over each
-// resident entry's footprint. The budget's accounting unit is selectable:
-// allocator-true (CountPlanHeapBytes — measures the actual heap blocks
-// behind the stored entry, malloc_usable_size where the platform has it, so
-// the budget honestly bounds memory when thousands of templates are
-// resident) or the deterministic structural estimate (EstimatePlanBytes —
-// platform-independent, so tests can model the accounting exactly; also the
-// pre-true-accounting ablation). Eviction is by recency: lookups
-// promote the entry to most-recently-used, and the victim is always the
-// least-recently-used entry. Serving working sets are skewed — a few hot
-// pipelines plus a stream of one-offs — and LRU keeps the hot templates
-// resident where insertion-order (FIFO) eviction lets the one-off stream
-// push them out; kFifo is retained as a policy for exactly that comparison.
+// resident entry's allocator-true footprint (CountPlanHeapBytes — the actual
+// heap blocks behind the stored entry, malloc_usable_size where the platform
+// has it, so the budget honestly bounds memory when thousands of templates
+// are resident). Eviction is by recency: lookups and refreshes promote the
+// entry to most-recently-used, and the victim is always the least-recently-
+// used entry. Serving working sets are skewed — a few hot pipelines plus a
+// stream of one-offs — and LRU keeps the hot templates resident where
+// insertion-order eviction lets the one-off stream push them out (warm hit
+// rate 0.94 vs 0.87: concurrency/capped_cache/*/warm_hit_rate, BENCH_PR10).
 //
 // PlanCache is thread-safe. Lookup mutates recency, so every operation takes
 // one exclusive mutex, and the hit/miss counters are updated under that same
@@ -104,30 +101,15 @@ Plan MakePlanTemplate(const Plan& plan, std::span<const SlotId> canon_slots, int
 // slot map is `canon_slots` (from FingerprintRange of that same range).
 Plan InstantiatePlan(const Plan& tmpl, std::span<const SlotId> canon_slots, int first_node);
 
-// Deterministic footprint estimate of one cache entry (key words + template
-// payload + fixed bookkeeping). Not exact heap usage — an accounting unit
-// the byte budget and its tests agree on.
-std::size_t EstimatePlanBytes(const PlanKey& key, const Plan& plan_template);
-
 // Allocator-true footprint of one resident entry: walks every heap block the
 // stored key words, template, and pins own and sums what the allocator
 // actually carved out for them (malloc_usable_size under glibc — which sees
 // capacity slack AND size-class rounding — capacity arithmetic elsewhere),
 // plus fixed bookkeeping for the Entry/recency/bucket nodes. This is what
-// the byte budget charges under CacheAccounting::kTrueBytes.
+// the byte budget charges.
 std::size_t CountPlanHeapBytes(const std::vector<std::uint64_t>& key_words,
                                const Plan& plan_template,
                                const std::vector<std::shared_ptr<const void>>& pins);
-
-enum class EvictionPolicy {
-  kLru,   // lookups promote; victim = least recently used
-  kFifo,  // pure insertion order; lookups do not promote
-};
-
-enum class CacheAccounting {
-  kTrueBytes,  // CountPlanHeapBytes of the entry as stored (default)
-  kEstimate,   // deterministic EstimatePlanBytes (ablation / exact-model tests)
-};
 
 struct PlanCacheOptions {
   std::size_t max_entries = 1024;
@@ -136,8 +118,6 @@ struct PlanCacheOptions {
   // victim, so one template larger than the whole budget stays resident
   // alone rather than thrashing.
   std::size_t max_bytes = 0;
-  EvictionPolicy policy = EvictionPolicy::kLru;
-  CacheAccounting accounting = CacheAccounting::kTrueBytes;
 };
 
 // What one Insert displaced; the runtime folds this into EvalStats so
@@ -158,7 +138,7 @@ class PlanCache {
   explicit PlanCache(const PlanCacheOptions& opts);
 
   // Returns the cached template (shared, immutable) or null. Full-
-  // fingerprint compare; promotes the entry (kLru) and counts a hit/miss
+  // fingerprint compare; promotes the entry and counts a hit/miss
   // under the same lock as the lookup itself. Handing out a shared_ptr
   // keeps the critical section O(1): instantiation copies outside the
   // lock, and a template stays valid even if it is evicted mid-use.
@@ -174,7 +154,6 @@ class PlanCache {
 
   void Clear();  // drops entries and byte accounting; cumulative counters stay
 
-  const PlanCacheOptions& options() const { return opts_; }
   std::size_t size() const;
   std::size_t bytes() const;  // accounted footprint sum over resident entries
   std::int64_t hits() const;
@@ -197,9 +176,6 @@ class PlanCache {
   // evicts the entry with seq == keep_seq (the one just inserted).
   void EvictWhileOverBudget(std::uint64_t keep_seq, PlanCacheInsertOutcome* outcome);
 
-  // Accounted footprint of one entry as stored, per opts_.accounting.
-  std::size_t BytesForEntry(const Entry& entry) const;
-
   mutable std::mutex mu_;
   const PlanCacheOptions opts_;
   std::size_t count_ = 0;
@@ -207,7 +183,7 @@ class PlanCache {
   std::uint64_t next_seq_ = 0;
   std::unordered_map<std::uint64_t, std::vector<Entry>> buckets_;
   // Recency order as (bucket hash, entry seq): front = next victim, back =
-  // most recently used (kLru) / most recently inserted (kFifo).
+  // most recently used.
   std::list<std::pair<std::uint64_t, std::uint64_t>> order_;
   std::int64_t hits_ = 0;
   std::int64_t misses_ = 0;

@@ -226,8 +226,6 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
   exec_opts.collect_stats = opts_.collect_stats;
   exec_opts.dynamic_scheduling = opts_.dynamic_scheduling;
   exec_opts.elide_boundaries = opts_.elide_boundaries;
-  exec_opts.batch_per_stage = opts_.batch_per_stage;
-  exec_opts.rebatch_threshold = opts_.rebatch_threshold;
   exec_opts.pipeline_stages = opts_.pipeline_stages;
   exec_opts.cancel = eval_opts.cancel;
 

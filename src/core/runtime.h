@@ -48,16 +48,6 @@ struct RuntimeOptions {
   // re-splitting (ExecOptions::elide_boundaries). Off = the ablation that
   // merges at every stage exit, as the paper describes.
   bool elide_boundaries = true;
-  // Footprint-aware per-stage batching: size each stage's batch from the
-  // bytes *that stage* keeps live per element (split inputs via Info(),
-  // produced values and carried pieces via splitter-declared widths), and
-  // re-batch carried pieces whose granularity diverges from the stage's
-  // choice by more than rebatch_threshold. batch_per_stage=false restores
-  // the pre-footprint behavior (inputs-only sum, carried granularity
-  // inherited verbatim); rebatch_threshold<=0 keeps the footprint model but
-  // never re-cuts carried pieces.
-  bool batch_per_stage = true;
-  double rebatch_threshold = 2.0;
   // Inter-stage pipeline parallelism: run the planner's pipelineable
   // regions as one overlapped batch walk (batch i in stage k while batch
   // i-1 runs stage k+1). Off = every stage runs to completion before the

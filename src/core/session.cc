@@ -29,11 +29,10 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
     if (tuning.max_cutoff_elems <= 0) {
       tuning.max_cutoff_elems = 16 * tuning.base_cutoff_elems;
     }
-    tuning.fair = opts_.fair_admission;
     opts_.admission_tuning = tuning;
     admission_ = std::make_unique<AdmissionGate>(tuning);
   } else {
-    admission_ = std::make_unique<AdmissionGate>(tokens, opts_.fair_admission);
+    admission_ = std::make_unique<AdmissionGate>(tokens);
   }
 
   if (opts_.plan_cache != nullptr) {
@@ -42,9 +41,6 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
     owned_plan_cache_ = std::make_unique<PlanCache>(PlanCacheOptions{
         .max_entries = opts_.plan_cache_entries,
         .max_bytes = opts_.plan_cache_bytes,
-        .policy = opts_.plan_cache_policy,
-        .accounting = opts_.plan_cache_true_bytes ? CacheAccounting::kTrueBytes
-                                                  : CacheAccounting::kEstimate,
     });
     plan_cache_ = owned_plan_cache_.get();
   }

@@ -45,10 +45,9 @@ struct ServingOptions {
   // elements run inline on the client's thread (admission.h).
   std::int64_t serial_cutoff_elems = 4096;
   std::size_t plan_cache_entries = 1024;
-  // Byte budget for an owned plan cache (0 = entry count only) and its
-  // eviction policy; both ignored when `plan_cache` overrides the cache.
+  // Byte budget for an owned plan cache (0 = entry count only); ignored
+  // when `plan_cache` overrides the cache.
   std::size_t plan_cache_bytes = 0;
-  EvictionPolicy plan_cache_policy = EvictionPolicy::kLru;
   PlanCache* plan_cache = nullptr;  // non-owning override; null = private cache
   // Queue-depth-adaptive admission (admission.h): the gate shrinks its token
   // budget and grows the inline cutoff as the shared pool congests. Zeros in
@@ -57,11 +56,6 @@ struct ServingOptions {
   bool adaptive_admission = false;
   AdmissionOptions admission_tuning{.max_tokens = 0, .base_cutoff_elems = 0,
                                     .max_cutoff_elems = 0};
-  // Per-session weighted deficit-round-robin for contended admission tokens
-  // (admission.h): a sparse session's wait stays bounded no matter how deep
-  // a chatty neighbor's backlog is. false = the strict-FIFO ablation, where
-  // one session's flood delays everyone queued behind it.
-  bool fair_admission = true;
   // Cross-session micro-batching (batch.h): > 0 coalesces inline-class plans
   // arriving within this window into one pool dispatch.
   std::int64_t batch_window_us = 0;
@@ -70,10 +64,6 @@ struct ServingOptions {
   // long as the inter-arrival EWMA predicts a rider, so a lone client stops
   // paying batch_window_us per evaluation. false = fixed-window ablation.
   bool adaptive_batch_window = true;
-  // Charge the owned plan cache's byte budget with allocator-true entry
-  // footprints (plan_cache.h CountPlanHeapBytes). false = the structural-
-  // estimate ablation. Ignored when `plan_cache` overrides the cache.
-  bool plan_cache_true_bytes = true;
 };
 
 class Session;

@@ -2,12 +2,10 @@
 //
 //  * deterministic starvation tests — a sparse session queued behind a
 //    chatty neighbor's backlog is admitted within one rotation under
-//    weighted deficit round-robin, and dead last (position linear in the
-//    backlog) under the strict-FIFO ablation;
+//    weighted deficit round-robin, however deep the backlog;
 //  * weighted service: a weight-2 session earns two admissions per round;
 //  * EWMA time-decay regression — a congestion burst's shrunk budget
-//    recovers after an idle gap (and demonstrably does not with the
-//    decay-disabled ablation, the pre-fix behavior);
+//    recovers after an idle gap;
 //  * streaming inline regression — steady-state EvalStream firings of a
 //    tiny window run on the caller even when later stages consume pending
 //    intermediates (pre-fix those plans were unsizable, so every firing
@@ -53,8 +51,8 @@ mz::AdmissionOptions Tuning() {
 // waiter's position in the admission order (0-based). waiting() sequences
 // every enqueue, so arrival order — and with it the admission order — is
 // fully deterministic.
-int SparseAdmissionIndex(bool fair, int chatty) {
-  mz::AdmissionGate gate(/*tokens=*/1, fair);
+int SparseAdmissionIndex(int chatty) {
+  mz::AdmissionGate gate(/*tokens=*/1);
   mz::AdmissionGate::Ticket held = gate.Acquire(/*session=*/77);
 
   std::mutex order_mu;
@@ -89,19 +87,12 @@ int SparseAdmissionIndex(bool fair, int chatty) {
 TEST(AdmissionFairnessTest, DrrAdmitsSparseSessionWithinOneRound) {
   // Round-robin: the chatty session spends its one-admission turn, then the
   // sparse session is next — position 1 no matter how deep the backlog.
-  EXPECT_EQ(SparseAdmissionIndex(/*fair=*/true, /*chatty=*/8), 1);
-  EXPECT_EQ(SparseAdmissionIndex(/*fair=*/true, /*chatty=*/24), 1);
-}
-
-TEST(AdmissionFairnessTest, FifoAblationDelaysSparseLinearlyInBacklog) {
-  // Strict arrival order: the sparse waiter sits behind the entire flood,
-  // and its wait grows without bound as the backlog does.
-  EXPECT_EQ(SparseAdmissionIndex(/*fair=*/false, /*chatty=*/8), 8);
-  EXPECT_EQ(SparseAdmissionIndex(/*fair=*/false, /*chatty=*/24), 24);
+  EXPECT_EQ(SparseAdmissionIndex(/*chatty=*/8), 1);
+  EXPECT_EQ(SparseAdmissionIndex(/*chatty=*/24), 1);
 }
 
 TEST(AdmissionFairnessTest, WeightTwoSessionEarnsTwoAdmissionsPerRound) {
-  mz::AdmissionGate gate(/*tokens=*/1, /*fair=*/true);
+  mz::AdmissionGate gate(/*tokens=*/1);
   mz::AdmissionGate::Ticket held = gate.Acquire(/*session=*/77);
 
   std::mutex order_mu;
@@ -137,8 +128,7 @@ TEST(AdmissionFairnessTest, WeightTwoSessionEarnsTwoAdmissionsPerRound) {
 // --- S1 regression: budget recovery after a burst -----------------------------
 
 TEST(AdmissionFairnessTest, EwmaDecayRestoresBudgetAfterIdleGap) {
-  mz::AdmissionOptions t = Tuning();
-  t.decay_half_life_us = 1000.0;
+  const mz::AdmissionOptions t = Tuning();
   mz::AdmissionGate gate(t);
 
   std::int64_t now = 1'000'000;  // synthetic clock, ns
@@ -149,31 +139,13 @@ TEST(AdmissionFairnessTest, EwmaDecayRestoresBudgetAfterIdleGap) {
   EXPECT_EQ(gate.tokens(), t.min_tokens) << "burst must shrink the budget";
   EXPECT_EQ(gate.cutoff_elems(0), t.max_cutoff_elems);
 
-  // The burst ends and the pool drains. The next observation arrives 20 ms
-  // (20 half-lives) later: the stored depth must have decayed to ~nothing,
-  // whatever happened to the sampling cadence in between.
-  gate.ObserveAtNanos(/*queue_depth=*/0, now + 20'000'000);
+  // The burst ends and the pool drains. The next observation arrives 40 ms
+  // (20 of the gate's 2 ms half-lives) later: the stored depth must have
+  // decayed to ~nothing, whatever happened to the sampling cadence in
+  // between.
+  gate.ObserveAtNanos(/*queue_depth=*/0, now + 40'000'000);
   EXPECT_EQ(gate.tokens(), t.max_tokens);
   EXPECT_EQ(gate.cutoff_elems(0), t.base_cutoff_elems);
-}
-
-TEST(AdmissionFairnessTest, ZeroHalfLifeAblationFreezesBurstBudget) {
-  // The pre-fix shape: with decay disabled, one idle-pool sample after the
-  // burst still leaves the EWMA at half its peak — the budget stays shrunk
-  // long after the load that justified it is gone.
-  mz::AdmissionOptions t = Tuning();
-  t.decay_half_life_us = 0.0;
-  mz::AdmissionGate gate(t);
-
-  std::int64_t now = 1'000'000;
-  for (int i = 0; i < 20; ++i) {
-    gate.ObserveAtNanos(64, now);
-    now += 1'000;
-  }
-  EXPECT_EQ(gate.tokens(), t.min_tokens);
-  gate.ObserveAtNanos(0, now + 20'000'000);
-  EXPECT_EQ(gate.tokens(), t.min_tokens);
-  EXPECT_EQ(gate.cutoff_elems(0), t.max_cutoff_elems);
 }
 
 // --- S2 regression: steady-state stream firings stay inline -------------------

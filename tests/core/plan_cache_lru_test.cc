@@ -5,18 +5,20 @@
 //   * entry and byte accounting never drift from the model's (and the byte
 //     budget is never exceeded while more than one entry is resident);
 //   * eviction order is exactly the model's (LRU promotes on hit and on
-//     refresh; FIFO never promotes);
+//     refresh);
 //   * a full-fingerprint mismatch (same 64-bit hash, different words) never
 //     serves a cached plan — collisions chain, they do not alias;
 //   * hit/miss counters agree with the model after every interleaving.
 //
-// The model-equality batteries pin CacheAccounting::kEstimate: the reference
-// model reproduces the deterministic structural estimate, which is exactly
-// what that accounting mode exists for. The allocator-true default is
-// covered separately below by outcome-arithmetic invariants (true footprints
-// are platform-dependent, so those tests assert conservation, not values).
+// The model-equality batteries run the production allocator-true accounting.
+// True footprints are platform-dependent (malloc_usable_size can hand out a
+// larger block than requested), so the reference model does not recompute
+// them: it charges each entry what that Insert's outcome reported, and the
+// batteries check that residency, evictions and counters then agree byte
+// for byte. Conservation laws over outcomes are pinned separately below.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <optional>
@@ -50,14 +52,13 @@ class ModelCache {
  public:
   explicit ModelCache(const PlanCacheOptions& opts) : opts_(opts) {}
 
+  // Every lookup hit and refresh promotes the entry to most recent.
   std::optional<int> Lookup(const PlanKey& key) {
     for (auto it = order_.begin(); it != order_.end(); ++it) {
       if (it->key == key) {
         ++hits_;
         int payload = it->payload;
-        if (opts_.policy == EvictionPolicy::kLru) {
-          order_.splice(order_.end(), order_, it);
-        }
+        order_.splice(order_.end(), order_, it);
         return payload;
       }
     }
@@ -65,8 +66,8 @@ class ModelCache {
     return std::nullopt;
   }
 
-  void Insert(const PlanKey& key, int payload) {
-    const std::size_t entry_bytes = EstimatePlanBytes(key, PayloadPlan(payload));
+  // `entry_bytes` is the footprint the real cache reported for this insert.
+  void Insert(const PlanKey& key, int payload, std::size_t entry_bytes) {
     bool refreshed = false;
     for (auto it = order_.begin(); it != order_.end(); ++it) {
       if (it->key == key) {
@@ -74,9 +75,7 @@ class ModelCache {
         bytes_ -= it->bytes;
         it->payload = payload;
         it->bytes = entry_bytes;
-        if (opts_.policy == EvictionPolicy::kLru) {
-          order_.splice(order_.end(), order_, it);  // a refresh is a touch
-        }
+        order_.splice(order_.end(), order_, it);  // a refresh is a touch
         refreshed = true;
         break;
       }
@@ -159,8 +158,8 @@ void RunRandomizedTrace(const PropertyConfig& cfg, std::uint32_t seed) {
       }
     } else {
       const int payload = payload_dist(rng);
-      cache.Insert(key, PayloadPlan(payload), {});
-      model.Insert(key, payload);
+      const PlanCacheInsertOutcome out = cache.Insert(key, PayloadPlan(payload), {});
+      model.Insert(key, payload, out.inserted_bytes);
     }
     // Byte/entry accounting must track the model exactly, op by op.
     ASSERT_EQ(cache.size(), model.size()) << "op " << op;
@@ -184,9 +183,7 @@ void RunRandomizedTrace(const PropertyConfig& cfg, std::uint32_t seed) {
 
 TEST(PlanCacheLruPropertyTest, EntryCappedLruMatchesModel) {
   PropertyConfig cfg{"entry-capped LRU",
-                     PlanCacheOptions{.max_entries = 8, .max_bytes = 0,
-                                      .policy = EvictionPolicy::kLru,
-                                      .accounting = CacheAccounting::kEstimate},
+                     PlanCacheOptions{.max_entries = 8, .max_bytes = 0},
                      /*universe=*/24, /*hash_buckets=*/5};
   for (std::uint32_t seed : {1u, 2u, 3u}) {
     RunRandomizedTrace(cfg, seed);
@@ -194,12 +191,10 @@ TEST(PlanCacheLruPropertyTest, EntryCappedLruMatchesModel) {
 }
 
 TEST(PlanCacheLruPropertyTest, ByteCappedLruMatchesModel) {
-  // Payloads estimate at a few hundred bytes to a few KB; a budget of ~6 KB
+  // Payloads measure a few hundred bytes to a few KB; a budget of ~6 KB
   // holds only a handful of entries, so eviction runs constantly.
   PropertyConfig cfg{"byte-capped LRU",
-                     PlanCacheOptions{.max_entries = 1024, .max_bytes = 6 * 1024,
-                                      .policy = EvictionPolicy::kLru,
-                                      .accounting = CacheAccounting::kEstimate},
+                     PlanCacheOptions{.max_entries = 1024, .max_bytes = 6 * 1024},
                      /*universe=*/24, /*hash_buckets=*/5};
   for (std::uint32_t seed : {7u, 8u, 9u}) {
     RunRandomizedTrace(cfg, seed);
@@ -208,22 +203,9 @@ TEST(PlanCacheLruPropertyTest, ByteCappedLruMatchesModel) {
 
 TEST(PlanCacheLruPropertyTest, DualCapMatchesModel) {
   PropertyConfig cfg{"entry+byte-capped LRU",
-                     PlanCacheOptions{.max_entries = 6, .max_bytes = 8 * 1024,
-                                      .policy = EvictionPolicy::kLru,
-                                      .accounting = CacheAccounting::kEstimate},
+                     PlanCacheOptions{.max_entries = 6, .max_bytes = 8 * 1024},
                      /*universe=*/32, /*hash_buckets=*/4};
   for (std::uint32_t seed : {11u, 12u, 13u}) {
-    RunRandomizedTrace(cfg, seed);
-  }
-}
-
-TEST(PlanCacheLruPropertyTest, FifoPolicyMatchesModel) {
-  PropertyConfig cfg{"entry-capped FIFO",
-                     PlanCacheOptions{.max_entries = 8, .max_bytes = 0,
-                                      .policy = EvictionPolicy::kFifo,
-                                      .accounting = CacheAccounting::kEstimate},
-                     /*universe=*/24, /*hash_buckets=*/5};
-  for (std::uint32_t seed : {21u, 22u, 23u}) {
     RunRandomizedTrace(cfg, seed);
   }
 }
@@ -231,7 +213,7 @@ TEST(PlanCacheLruPropertyTest, FifoPolicyMatchesModel) {
 // ---- targeted invariants the random traces also cover, pinned explicitly ----
 
 TEST(PlanCacheLruTest, LookupPromotesSoHotEntrySurvivesColdStream) {
-  PlanCache cache(PlanCacheOptions{.max_entries = 3, .policy = EvictionPolicy::kLru});
+  PlanCache cache(PlanCacheOptions{.max_entries = 3});
   const PlanKey hot = KeyFor(0, 1000);
   cache.Insert(hot, PayloadPlan(1), {});
   // Stream cold keys through the cache, touching the hot key between every
@@ -243,40 +225,37 @@ TEST(PlanCacheLruTest, LookupPromotesSoHotEntrySurvivesColdStream) {
   EXPECT_TRUE(cache.Contains(hot));
 }
 
-TEST(PlanCacheLruTest, FifoEvictsHotEntryDespiteLookups) {
-  PlanCache cache(PlanCacheOptions{.max_entries = 3, .policy = EvictionPolicy::kFifo});
-  const PlanKey hot = KeyFor(0, 1000);
-  cache.Insert(hot, PayloadPlan(1), {});
-  for (int id = 1; id <= 3; ++id) {
-    (void)cache.Lookup(hot);  // touches must NOT save it under FIFO
-    cache.Insert(KeyFor(id, 1000), PayloadPlan(2), {});
-  }
-  EXPECT_FALSE(cache.Contains(hot)) << "FIFO promoted on lookup";
-}
-
 TEST(PlanCacheLruTest, ByteBudgetEvictsByRecency) {
-  // Each entry estimates identically; find that size, then build a budget
-  // that fits exactly two entries.
-  const std::size_t one = EstimatePlanBytes(KeyFor(0, 8), PayloadPlan(4));
-  PlanCache cache(PlanCacheOptions{.max_entries = 100, .max_bytes = 2 * one,
-                                   .accounting = CacheAccounting::kEstimate});
-  cache.Insert(KeyFor(0, 8), PayloadPlan(4), {});
-  cache.Insert(KeyFor(1, 8), PayloadPlan(4), {});
-  EXPECT_EQ(cache.bytes(), 2 * one);
+  // Probe each entry's true footprint, then build a budget that fits any two
+  // of the three entries but never all three (half the smallest entry of
+  // slack either way absorbs allocator rounding).
+  PlanCache probe(PlanCacheOptions{.max_entries = 100});
+  std::size_t sizes[3];
+  for (int id = 0; id < 3; ++id) {
+    sizes[id] = probe.Insert(KeyFor(id, 8), PayloadPlan(4), {}).inserted_bytes;
+  }
+  const std::size_t budget =
+      std::max({sizes[0] + sizes[1], sizes[0] + sizes[2], sizes[1] + sizes[2]}) +
+      std::min({sizes[0], sizes[1], sizes[2]}) / 2;
+  PlanCache cache(PlanCacheOptions{.max_entries = 100, .max_bytes = budget});
+  const std::size_t b0 = cache.Insert(KeyFor(0, 8), PayloadPlan(4), {}).inserted_bytes;
+  const std::size_t b1 = cache.Insert(KeyFor(1, 8), PayloadPlan(4), {}).inserted_bytes;
+  EXPECT_EQ(cache.bytes(), b0 + b1);
   ASSERT_NE(cache.Lookup(KeyFor(0, 8)), nullptr);  // 0 becomes MRU
-  cache.Insert(KeyFor(2, 8), PayloadPlan(4), {});       // must evict 1, not 0
+  const std::size_t b2 =
+      cache.Insert(KeyFor(2, 8), PayloadPlan(4), {}).inserted_bytes;  // must evict 1, not 0
   EXPECT_TRUE(cache.Contains(KeyFor(0, 8)));
   EXPECT_FALSE(cache.Contains(KeyFor(1, 8)));
   EXPECT_TRUE(cache.Contains(KeyFor(2, 8)));
-  EXPECT_EQ(cache.bytes(), 2 * one);
+  EXPECT_EQ(cache.bytes(), b0 + b2);
   EXPECT_EQ(cache.evictions(), 1);
-  EXPECT_EQ(cache.evicted_bytes(), static_cast<std::int64_t>(one));
+  EXPECT_EQ(cache.evicted_bytes(), static_cast<std::int64_t>(b1));
 }
 
 TEST(PlanCacheLruTest, OversizedEntryStaysResidentAlone) {
-  const std::size_t small = EstimatePlanBytes(KeyFor(0, 8), PayloadPlan(1));
-  PlanCache cache(PlanCacheOptions{.max_entries = 100, .max_bytes = small,
-                                   .accounting = CacheAccounting::kEstimate});
+  PlanCache probe(PlanCacheOptions{.max_entries = 100});
+  const std::size_t small = probe.Insert(KeyFor(0, 8), PayloadPlan(1), {}).inserted_bytes;
+  PlanCache cache(PlanCacheOptions{.max_entries = 100, .max_bytes = small});
   cache.Insert(KeyFor(0, 8), PayloadPlan(1), {});
   EXPECT_EQ(cache.size(), 1u);
   // A template bigger than the whole budget evicts everyone else but is
@@ -304,7 +283,7 @@ TEST(PlanCacheLruTest, CollisionNeverAliasesAcrossEviction) {
   EXPECT_EQ(cache.Lookup(c)->stages.size(), 3u);
 }
 
-// ---- allocator-true accounting (CacheAccounting::kTrueBytes, the default) ----
+// ---- allocator-true accounting: conservation over Insert outcomes ----
 // True footprints depend on the platform allocator, so these assert
 // conservation laws over Insert outcomes rather than exact byte values.
 
@@ -326,7 +305,6 @@ Plan HeapyPlan(int stages, int params_per_buf) {
 
 TEST(PlanCacheTrueBytesTest, OutcomeArithmeticConservesResidency) {
   PlanCache cache(PlanCacheOptions{.max_entries = 64});
-  ASSERT_EQ(cache.options().accounting, CacheAccounting::kTrueBytes);
   std::size_t sum = 0;
   std::vector<std::size_t> per_entry(12, 0);
   for (int id = 0; id < 12; ++id) {
@@ -368,9 +346,9 @@ TEST(PlanCacheTrueBytesTest, ByteBudgetHoldsUnderTrueAccounting) {
   EXPECT_LE(cache.size(), 3u + 1u);
 }
 
-TEST(PlanCacheTrueBytesTest, CapacitySlackIsChargedOnlyByTrueAccounting) {
+TEST(PlanCacheTrueBytesTest, CapacitySlackIsCharged) {
   // Two structurally identical plans, one carrying reserved-but-unused
-  // vector capacity. The structural estimate cannot tell them apart; the
+  // vector capacity. A structural count cannot tell them apart; the
   // allocator walk must charge the slack.
   Plan lean = HeapyPlan(1, 4);
   Plan padded = HeapyPlan(1, 4);
@@ -378,7 +356,6 @@ TEST(PlanCacheTrueBytesTest, CapacitySlackIsChargedOnlyByTrueAccounting) {
   padded.stages[0].buffers[0].params.reserve(512);
   const PlanKey k0 = KeyFor(0, 4);
   const PlanKey k1 = KeyFor(1, 4);
-  EXPECT_EQ(EstimatePlanBytes(k0, lean), EstimatePlanBytes(k1, padded));
   EXPECT_GT(CountPlanHeapBytes(k1.words, padded, {}),
             CountPlanHeapBytes(k0.words, lean, {}));
 

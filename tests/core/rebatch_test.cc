@@ -1,12 +1,11 @@
-// Footprint-aware per-stage batching and carried-piece re-batching
-// (ISSUE 5). Covers: identity subdivision (zero-copy — pieces alias the
-// original arrays, verified by in-place results and exercised under ASan),
+// Footprint-aware per-stage batching and carried-piece re-batching.
+// Covers: identity subdivision (zero-copy — pieces alias the original
+// arrays, verified by in-place results and exercised under ASan),
 // owned-stream subdivision and per-worker coalescing, dynamic-scheduling
 // order restoration over re-cut pieces, zero-element and single-piece edge
 // cases, multi-producer aligned carries (carry chains), coverage-aware
 // re-cutting of dynamically-scheduled multi-producer piece sets (the
-// kRecut alternative to materialize, ISSUE 6), the ablation knobs
-// (batch_per_stage / rebatch_threshold), and warm plan-cache behavioral
+// kRecut alternative to materialize), and warm plan-cache behavioral
 // round-trips of the per-stage batch fields.
 #include <gtest/gtest.h>
 
@@ -107,30 +106,6 @@ TEST(RebatchIdentity, WideConsumerSubdividesCarriedPieces) {
   EXPECT_EQ(s.stages_rebatched, 1);
   // The whole point: every stage's per-batch working set fits the budget.
   EXPECT_LE(s.footprint_bytes_max, static_cast<std::int64_t>(L2CacheBytes()));
-}
-
-TEST(RebatchIdentity, BatchPerStageOffRestoresInheritance) {
-  const long n = std::max<long>(100000, 4 * static_cast<long>(L2CacheBytes()) / 16);
-  FootprintBlowup w(n);
-  RuntimeOptions opts = Opts();
-  opts.batch_per_stage = false;  // old behavior: inherit producer granularity
-  Runtime rt(opts);
-  w.Run(&rt);
-  EXPECT_EQ(w.o, w.Expected());
-  EvalStats::Snapshot s = rt.stats().Take();
-  EXPECT_GE(s.boundaries_elided, 1);
-  EXPECT_EQ(s.stages_rebatched, 0);
-}
-
-TEST(RebatchIdentity, ThresholdZeroKeepsFootprintButNeverRecuts) {
-  const long n = std::max<long>(100000, 4 * static_cast<long>(L2CacheBytes()) / 16);
-  FootprintBlowup w(n);
-  RuntimeOptions opts = Opts();
-  opts.rebatch_threshold = 0.0;
-  Runtime rt(opts);
-  w.Run(&rt);
-  EXPECT_EQ(w.o, w.Expected());
-  EXPECT_EQ(rt.stats().Take().stages_rebatched, 0);
 }
 
 TEST(RebatchIdentity, WarmPlanCacheReproducesRebatching) {
