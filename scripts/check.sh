@@ -59,12 +59,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # Concurrency-focused subset: the serving layer (sessions, plan cache,
   # admission, batching — the `serving` label groups its test battery), the
   # runtime, and the pool. The full suite under TSan's ~10x slowdown is not
-  # worth the wall time; these labels cover every lock.
+  # worth the wall time; these labels cover every lock. `matrix` adds the
+  # 4-thread stencil and carried row-band tests.
   # lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV
   # handler by design (§4.1 protected memory), which trips TSan's
   # signal-safety checker — a design property, not a data race.
-  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving) =="
+  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|matrix) =="
   cmake -B build-tsan -S . -DMZ_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
-  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving" -E lazy_heap)
+  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|matrix" -E lazy_heap)
 fi

@@ -365,6 +365,12 @@ Plan Planner::Build(int first_node, int end_node) {
         }
         continue;
       }
+      if (ann.args()[i].is_mut && broadcast_buf.count(s) != 0) {
+        // Write-after-read: an earlier node of the stage reads the full
+        // value, and its later batches must not see this node's pieces.
+        break_needed = true;
+        continue;
+      }
       if (conflicts_with_stage(c)) {
         break_needed = true;
         continue;
@@ -818,7 +824,10 @@ void Planner::AnnotateFootprints(Plan* plan) {
 //  3. no broadcast buffer of s names a slot any in-region stage writes
 //     (mut or produced): the broadcast reads the *full* value, which is
 //     only final once the writing stage has completely finished — exactly
-//     the barrier pipelining removes.
+//     the barrier pipelining removes;
+//  4. s writes no slot an in-region stage broadcasts (write-after-read):
+//     that stage's later batches still read the full value while s's
+//     earlier batches would already have rewritten part of it.
 // Regions of length >= 2 get ids and depths; singleton runs stay unmarked
 // (pipeline_region = -1) and execute exactly as before.
 void Planner::AnnotatePipeline(Plan* plan) {
@@ -836,9 +845,20 @@ void Planner::AnnotatePipeline(Plan* plan) {
     run_start = run_end;
   };
 
+  auto writes = [](const StageBuffer& b) {
+    return b.is_output || (!b.is_input && !b.is_broadcast);  // mut or produced
+  };
   auto writes_slot = [&](const Stage& st, SlotId slot) {
     for (const StageBuffer& b : st.buffers) {
-      if (b.slot == slot && (b.is_output || (!b.is_input && !b.is_broadcast))) {
+      if (b.slot == slot && writes(b)) {
+        return true;
+      }
+    }
+    return false;
+  };
+  auto broadcasts_slot = [&](const Stage& st, SlotId slot) {
+    for (const StageBuffer& b : st.buffers) {
+      if (b.slot == slot && b.is_broadcast) {
         return true;
       }
     }
@@ -859,6 +879,14 @@ void Planner::AnnotatePipeline(Plan* plan) {
     bool extend = !st.serial && !prev.serial && st.takes_carries && prev.feeds_carries;
     if (extend) {
       for (const StageBuffer& b : st.buffers) {
+        if (writes(b)) {
+          for (int p = run_start; p < s && extend; ++p) {
+            extend = !broadcasts_slot(plan->stages[static_cast<std::size_t>(p)], b.slot);
+          }
+          if (!extend) {
+            break;  // an in-region stage still reads the full value
+          }
+        }
         if (b.is_input && !b.carry_in) {
           // Fresh split input. Fine as long as no in-region stage produces
           // the slot: the value is materialized before the region starts,

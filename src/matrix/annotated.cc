@@ -88,6 +88,32 @@ Value MatrixSplitFn(Matrix* const& m, std::int64_t start, std::int64_t end,
   return Value::Make<Matrix>(Matrix::ColView(*m, start, end));
 }
 
+// The same split over a piece: carried row bands are Matrix views, not
+// Matrix*, and a boundary that merges or sizes them looks the splitter up
+// by the piece's type. Info and Split work on the view's own shape. A
+// default-typed stream hands no parameters; its split is by rows, as
+// MatrixSplitLateCtor's.
+std::int64_t ViewAxis(std::span<const std::int64_t> params) {
+  return params.size() == 3 ? params[2] : 0;
+}
+
+RuntimeInfo MatrixViewInfo(const Matrix& m, std::span<const std::int64_t> params) {
+  const auto bytes = static_cast<std::int64_t>(sizeof(double));
+  if (ViewAxis(params) == 0) {
+    return RuntimeInfo{m.rows(), m.cols() * bytes};
+  }
+  return RuntimeInfo{m.cols(), m.rows() * bytes};
+}
+
+Value MatrixViewSplitFn(const Matrix& m, std::int64_t start, std::int64_t end,
+                        std::span<const std::int64_t> params, const SplitContext& ctx) {
+  (void)ctx;
+  if (ViewAxis(params) == 0) {
+    return Value::Make<Matrix>(Matrix::RowView(m, start, end));
+  }
+  return Value::Make<Matrix>(Matrix::ColView(m, start, end));
+}
+
 Value MatrixMerge(const Value& original, std::vector<Value> pieces,
                   std::span<const std::int64_t> params) {
   // Pieces are views into the original storage; updates are already visible.
@@ -179,16 +205,6 @@ mz::Annotation ElementwiseScalarAnn(const char* name) {
       .Build();
 }
 
-// Unsplittable stencil ops: every argument is "_", the mutated output
-// included, so the node runs serially between pipelined stages.
-mz::Annotation SerialRollAnn(const char* name) {
-  return mz::AnnotationBuilder(name)
-      .Arg("a", mz::NoSplit())
-      .Arg("shift", mz::NoSplit())
-      .MutArg("out", mz::NoSplit())
-      .Build();
-}
-
 const bool g_registered = [] {
   RegisterSplits();
   return true;
@@ -222,17 +238,21 @@ void RegisterSplits() {
     // identity path — pieces are Matrix values, so piecewise subdivision
     // does not apply). A row's width depends on the shape, so the static
     // element width stays unknown; Info() reports the real bytes per row.
+    // The pieces' own type is registered too, as the same split and
+    // default, so a boundary that carries row bands can merge them.
+    constexpr mz::SplitterTraits kMatrixTraits{.merge_is_identity = true,
+                                               .merge_only = false,
+                                               .element_width = 0,
+                                               .can_subdivide = false};
     mz::RegisterTypedSplitter<Matrix*>(reg, "MatrixSplit", MatrixInfo, MatrixSplitFn,
-                                       MatrixMerge,
-                                       mz::SplitterTraits{.merge_is_identity = true,
-                                                          .merge_only = false,
-                                                          .element_width = 0,
-                                                          .can_subdivide = false},
-                                       MatrixWidth);
+                                       MatrixMerge, kMatrixTraits, MatrixWidth);
+    mz::RegisterTypedSplitter<Matrix>(reg, "MatrixSplit", MatrixViewInfo, MatrixViewSplitFn,
+                                      MatrixMerge, kMatrixTraits, MatrixWidth);
     mz::RegisterTypedSplitter<std::vector<double>>(reg, "ReduceSplit", ReduceVecInfo,
                                                    ReduceVecSplitFn, ReduceVecMerge,
                                                    mz::SplitterTraits{.merge_only = true});
     reg.SetDefaultSplitType(std::type_index(typeid(Matrix*)), "MatrixSplit");
+    reg.SetDefaultSplitType(std::type_index(typeid(Matrix)), "MatrixSplit");
     return true;
   }();
   (void)done;
@@ -317,12 +337,24 @@ const mz::Annotated<void(const Matrix*, const double*, double*)> Gemv(
                       .MutArg("out", mz::Split("ArraySplit", {"m"}))
                       .Build());
 
-// Stencil data movement: unsplittable (each output row reads a neighbour),
-// so everything is "_" and the node runs serially — a pipeline boundary.
-const mz::Annotated<void(const Matrix*, long, Matrix*)> RollRows(matrix::RollRows,
-                                                                 SerialRollAnn("mat.RollRows"));
-const mz::Annotated<void(const Matrix*, long, Matrix*)> RollCols(matrix::RollCols,
-                                                                 SerialRollAnn("mat.RollCols"));
+// Stencil data movement. RollCols reads only row r to write row r, so both
+// matrices split into row bands. The explicit MatrixSplit (not a generic)
+// keeps an upstream column split from unifying with it: rolling columns
+// needs whole rows. RollRows reads neighbouring rows, so its source is
+// broadcast whole ("_") while the output splits into row bands; the
+// library finds each band's global rows from the view's row_offset().
+const mz::Annotated<void(const Matrix*, long, Matrix*)> RollRows(
+    matrix::RollRows, mz::AnnotationBuilder("mat.RollRows")
+                          .Arg("a", mz::NoSplit())
+                          .Arg("shift", mz::NoSplit())
+                          .MutArg("out", mz::Split("MatrixSplit", {"out"}))
+                          .Build());
+const mz::Annotated<void(const Matrix*, long, Matrix*)> RollCols(
+    matrix::RollCols, mz::AnnotationBuilder("mat.RollCols")
+                          .Arg("a", mz::Split("MatrixSplit", {"a"}))
+                          .Arg("shift", mz::NoSplit())
+                          .MutArg("out", mz::Split("MatrixSplit", {"out"}))
+                          .Build());
 
 const mz::Annotated<double(const Matrix*)> SumAll(matrix::SumAll,
                                                   mz::AnnotationBuilder("mat.SumAll")

@@ -11,9 +11,11 @@
 //  * ReduceSplit<axis> — Ex. 5: SumReduceToVector's return type; pieces are
 //    std::vector<double> partials, merged by concatenation (axis=1, disjoint
 //    row ranges) or elementwise addition (axis=0, partial column sums).
-//  * Roll/shift functions are annotated "_" everywhere: each output row
-//    reads neighbouring input rows, so they are unsplittable and run as
-//    serial stage boundaries (the Shallow Water pattern from §8.2).
+//  * Rolls (the Shallow Water stencil, §8.2) split by output row bands:
+//    RollRows broadcasts its source ("_") and writes row-band views of its
+//    output, found by their global row offsets; RollCols reads only row r
+//    for row r, so it row-splits both sides. A Shallow Water step plans as
+//    one pipelined stage.
 #ifndef MOZART_MATRIX_ANNOTATED_H_
 #define MOZART_MATRIX_ANNOTATED_H_
 

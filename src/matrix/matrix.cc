@@ -55,6 +55,18 @@ void CheckSameShape(const Matrix* a, const Matrix* b, const Matrix* out) {
   }
 }
 
+// True when the bytes spanned by `a` and `b` (first row start to last row
+// end) intersect. Conservative for interleaved column views.
+bool Overlaps(const Matrix* a, const Matrix* b) {
+  if (a->rows() == 0 || a->cols() == 0 || b->rows() == 0 || b->cols() == 0) {
+    return false;
+  }
+  auto addr = [](const double* p) { return reinterpret_cast<std::uintptr_t>(p); };
+  std::uintptr_t a_end = addr(a->row(a->rows() - 1) + a->cols());
+  std::uintptr_t b_end = addr(b->row(b->rows() - 1) + b->cols());
+  return addr(a->data()) < b_end && addr(b->data()) < a_end;
+}
+
 template <typename F>
 void MapBinary(const Matrix* a, const Matrix* b, Matrix* out, F f) {
   CheckSameShape(a, b, out);
@@ -330,28 +342,46 @@ void Gemv(const Matrix* m, const double* v, double* out) {
 }
 
 void RollRows(const Matrix* a, long shift, Matrix* out) {
-  CheckSameShape(a, nullptr, out);
-  MZ_CHECK_MSG(a->data() != out->data(), "RollRows cannot run in place");
+  MZ_CHECK_MSG(a != nullptr && out != nullptr, "null matrix argument");
+  MZ_CHECK_MSG(a->cols() == out->cols(), "RollRows column mismatch: " << a->cols() << " vs "
+                                                                     << out->cols());
+  MZ_CHECK_MSG(!Overlaps(a, out), "RollRows output overlaps its input");
   long rows = a->rows();
   long cols = a->cols();
-  for (long r = 0; r < rows; ++r) {
-    long src = ((r - shift) % rows + rows) % rows;
+  // A full-height `out` is the whole result; a shorter one is the row band
+  // starting at its global row offset.
+  long base = out->rows() == rows ? 0 : out->row_offset();
+  MZ_CHECK_MSG(base >= 0 && base + out->rows() <= rows,
+               "RollRows band [" << base << ", " << base + out->rows() << ") outside "
+                                 << rows << " rows");
+  if (rows == 0) {
+    return;
+  }
+  long k = (shift % rows + rows) % rows;
+  for (long r = 0; r < out->rows(); ++r) {
+    long src = base + r - k;
+    src += src < 0 ? rows : 0;
     std::memcpy(out->row(r), a->row(src), static_cast<std::size_t>(cols) * sizeof(double));
   }
 }
 
 void RollCols(const Matrix* a, long shift, Matrix* out) {
   CheckSameShape(a, nullptr, out);
-  MZ_CHECK_MSG(a->data() != out->data(), "RollCols cannot run in place");
+  MZ_CHECK_MSG(!Overlaps(a, out), "RollCols output overlaps its input");
   long rows = a->rows();
   long cols = a->cols();
+  if (cols == 0) {
+    return;
+  }
+  // out[c] = a[(c - shift) mod cols]: the row's tail [cols - k, cols) moves
+  // to the front and its head [0, cols - k) follows it, as np.roll does.
+  long k = (shift % cols + cols) % cols;
+  auto bytes = [](long n) { return static_cast<std::size_t>(n) * sizeof(double); };
   for (long r = 0; r < rows; ++r) {
     const double* pa = a->row(r);
     double* po = out->row(r);
-    for (long c = 0; c < cols; ++c) {
-      long src = ((c - shift) % cols + cols) % cols;
-      po[c] = pa[src];
-    }
+    std::memcpy(po, pa + (cols - k), bytes(k));
+    std::memcpy(po + k, pa, bytes(cols - k));
   }
 }
 

@@ -119,9 +119,17 @@ void SetDiagonal(Matrix* m, double c);
 // out[i] = sum_j m[i][j] * v[j] — matrix-vector product (BLAS L2 gemv).
 void Gemv(const Matrix* m, const double* v, double* out);
 
-// --- data movement (Shallow Water substrate; not splittable: every output
-// row needs a neighbouring input row, so the SAs mark these "_") ---
+// --- data movement (Shallow Water substrate; np.roll semantics:
+// out[i] = a[(i - shift) mod n] for any shift, negative or >= n) ---
+
+// Rolls rows. `a` holds all n rows; `out` is either the whole result or a
+// row band of it covering global rows [out->row_offset(), +out->rows())
+// (view-aware, like OuterDiff), so row-band pieces of `out` can each be
+// filled from the full source. `out` must not overlap `a`.
 void RollRows(const Matrix* a, long shift, Matrix* out);
+// Rolls each row's columns with two contiguous copies per row. Row r of
+// `out` reads only row r of `a`, so row bands of both roll independently.
+// `out` must not overlap `a`.
 void RollCols(const Matrix* a, long shift, Matrix* out);
 void CopyMatrix(const Matrix* a, Matrix* out);
 

@@ -4,13 +4,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <ostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/client.h"
 #include "core/runtime.h"
 #include "matrix/annotated.h"
+#include "vecmath/annotated.h"
 
 namespace {
 
@@ -143,6 +149,75 @@ TEST(MatrixTest, RollRowsWraps) {
   EXPECT_DOUBLE_EQ(out.at(1, 0), m.at(0, 0));
 }
 
+// The modulo formula the roll kernels replaced: out[i] = a[(i - shift) mod n].
+long ModIndex(long i, long shift, long n) { return ((i - shift) % n + n) % n; }
+
+bool SameBytes(const double* a, const double* b, long n) {
+  return std::memcmp(a, b, static_cast<std::size_t>(n) * sizeof(double)) == 0;
+}
+
+// Shifts around every wrap case: negative, zero, positive and past n.
+std::vector<long> RollShifts(long n) { return {-n - 1, -1, 0, 1, n + 1}; }
+
+TEST(MatrixTest, RollColsMatchesModuloFormula) {
+  const long rows = 5;
+  const long cols = 7;
+  Matrix a = Filled(rows, cols, -3.25);
+  for (long shift : RollShifts(cols)) {
+    Matrix out(rows, cols);
+    matrix::RollCols(&a, shift, &out);
+    for (long r = 0; r < rows; ++r) {
+      std::vector<double> want(static_cast<std::size_t>(cols));
+      for (long c = 0; c < cols; ++c) {
+        want[static_cast<std::size_t>(c)] = a.at(r, ModIndex(c, shift, cols));
+      }
+      EXPECT_TRUE(SameBytes(out.row(r), want.data(), cols)) << "shift " << shift << " row " << r;
+    }
+  }
+}
+
+TEST(MatrixTest, RollRowsEveryBandMatchesFullRoll) {
+  const long n = 7;
+  const long cols = 3;
+  Matrix a = Filled(n, cols, 0.5);
+  for (long shift : RollShifts(n)) {
+    Matrix full(n, cols);
+    matrix::RollRows(&a, shift, &full);
+    for (long r = 0; r < n; ++r) {
+      EXPECT_TRUE(SameBytes(full.row(r), a.row(ModIndex(r, shift, n)), cols))
+          << "shift " << shift << " row " << r;
+    }
+    // Every row band [r0, r1) of a fresh output, filled alone.
+    for (long r0 = 0; r0 < n; ++r0) {
+      for (long r1 = r0 + 1; r1 <= n; ++r1) {
+        Matrix out(n, cols);
+        Matrix band = Matrix::RowView(out, r0, r1);
+        matrix::RollRows(&a, shift, &band);
+        for (long r = r0; r < r1; ++r) {
+          ASSERT_TRUE(SameBytes(out.row(r), full.row(r), cols))
+              << "shift " << shift << " band [" << r0 << ", " << r1 << ") row " << r;
+        }
+      }
+    }
+  }
+}
+
+TEST(MatrixTest, RollsRejectOverlappingOutput) {
+  // Re-executes the binary per death check instead of forking a process
+  // whose pool threads are running.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Matrix a = Filled(6, 4);
+  Matrix top = Matrix::RowView(a, 0, 3);
+  Matrix shifted = Matrix::RowView(a, 2, 5);
+  EXPECT_DEATH_IF_SUPPORTED(matrix::RollRows(&a, 1, &a), "overlaps");
+  EXPECT_DEATH_IF_SUPPORTED(matrix::RollRows(&a, 1, &top), "overlaps");
+  EXPECT_DEATH_IF_SUPPORTED(matrix::RollCols(&a, 1, &a), "overlaps");
+  EXPECT_DEATH_IF_SUPPORTED(matrix::RollCols(&top, 1, &shifted), "overlaps");
+  Matrix bottom = Matrix::RowView(a, 3, 6);
+  matrix::RollCols(&top, 1, &bottom);  // disjoint bands of one matrix
+  EXPECT_DOUBLE_EQ(a.at(3, 1), a.at(0, 0));
+}
+
 TEST(MatrixTest, GemvMatchesManual) {
   Matrix m = Filled(3, 2);
   std::vector<double> v = {2.0, -1.0};
@@ -246,19 +321,143 @@ TEST(MatrixAnnotatedTest, GemvPipelinesMatrixAndArraySplits) {
   }
 }
 
-TEST(MatrixAnnotatedTest, SerialRollBreaksPipeline) {
+TEST(MatrixAnnotatedTest, RollRowsBroadcastSourceBreaksAfterWriter) {
   const long n = 64;
   Matrix a = Filled(n, n);
   Matrix rolled(n, n);
   Matrix out(n, n);
+  Matrix want_a = Filled(n, n);
+  Matrix want_rolled(n, n);
+  Matrix want(n, n);
+  matrix::MulScalar(&want_a, 2.0, &want_a);
+  matrix::RollRows(&want_a, 1, &want_rolled);
+  matrix::Add(&want_a, &want_rolled, &want);
+
+  // RollRows reads all of `a`, so it starts a second stage after the one
+  // that writes `a`; the Add joins it, splitting `rolled` and `out` by rows.
   mz::Runtime rt(TestOptions());
   mz::RuntimeScope scope(&rt);
-  mzmat::MulScalar(&a, 2.0, &a);        // stage 1 (split)
-  mzmat::RollRows(&a, 1, &rolled);      // serial stage
-  mzmat::Add(&a, &rolled, &out);        // stage 3 (split)
+  mzmat::MulScalar(&a, 2.0, &a);
+  mzmat::RollRows(&a, 1, &rolled);
+  mzmat::Add(&a, &rolled, &out);
   rt.Evaluate();
-  EXPECT_EQ(rt.stats().Take().stages, 3);
-  EXPECT_DOUBLE_EQ(out.at(1, 0), a.at(1, 0) + a.at(0, 0));
+  EXPECT_EQ(rt.stats().Take().stages, 2);
+  for (long r = 0; r < n; ++r) {
+    ASSERT_TRUE(SameBytes(out.row(r), want.row(r), n)) << "row " << r;
+  }
+}
+
+// Write-after-read: a node reading x whole ("_") must not share a stage, or
+// a pipeline region, with a later node that writes x through a split —
+// later batches of the reader would see x half updated. With `pipeline` off
+// every node is its own stage, so only the region rule stands between the
+// two; with it on, the stage-break rule does.
+struct HazardCase {
+  bool pipeline;
+  int threads;
+};
+
+void PrintTo(const HazardCase& c, std::ostream* os) {
+  *os << (c.pipeline ? "pipeline" : "no pipeline") << ", " << c.threads << " thread(s)";
+}
+
+class BroadcastWriteHazard : public ::testing::TestWithParam<HazardCase> {};
+
+TEST_P(BroadcastWriteHazard, GemvThenSplitWriteOfItsVector) {
+  const long n = 1024;
+  Matrix m = Filled(n, n, -0.5);
+  matrix::MulScalar(&m, 1.0 / static_cast<double>(n * n), &m);
+  std::vector<double> x(static_cast<std::size_t>(n));
+  std::iota(x.begin(), x.end(), 1.0);
+  std::vector<double> y(static_cast<std::size_t>(n));
+  std::vector<double> want_x = x;
+  std::vector<double> want_y(static_cast<std::size_t>(n));
+  matrix::Gemv(&m, want_x.data(), want_y.data());
+  for (long i = 0; i < n; ++i) {
+    want_x[static_cast<std::size_t>(i)] += want_y[static_cast<std::size_t>(i)];
+  }
+
+  mz::RuntimeOptions opts = TestOptions(GetParam().threads);
+  opts.pipeline = GetParam().pipeline;
+  opts.batch_elems_override = 64;
+  mz::Runtime rt(opts);
+  mz::RuntimeScope scope(&rt);
+  mzmat::Gemv(&m, x.data(), y.data());
+  mzvec::Add(n, x.data(), y.data(), x.data());
+  rt.Evaluate();
+  long wrong = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    wrong += !SameBytes(&y[i], &want_y[i], 1) || !SameBytes(&x[i], &want_x[i], 1);
+  }
+  EXPECT_EQ(wrong, 0) << "of " << n;
+}
+
+TEST_P(BroadcastWriteHazard, RollRowsThenSplitWriteOfItsSource) {
+  const long n = 512;
+  Matrix h = Filled(n, n);
+  Matrix t(n, n);
+  Matrix want_h = Filled(n, n);
+  Matrix want_t(n, n);
+  matrix::RollRows(&want_h, 1, &want_t);
+  matrix::Add(&want_h, &want_t, &want_h);
+
+  mz::RuntimeOptions opts = TestOptions(GetParam().threads);
+  opts.pipeline = GetParam().pipeline;
+  opts.batch_elems_override = 7;
+  mz::Runtime rt(opts);
+  mz::RuntimeScope scope(&rt);
+  mzmat::RollRows(&h, 1, &t);
+  mzmat::Add(&h, &t, &h);
+  rt.Evaluate();
+  long wrong = 0;
+  for (long r = 0; r < n; ++r) {
+    wrong += !SameBytes(h.row(r), want_h.row(r), n);
+  }
+  EXPECT_EQ(wrong, 0) << "rows of " << n;
+}
+
+INSTANTIATE_TEST_SUITE_P(PipelineThreads, BroadcastWriteHazard,
+                         ::testing::Values(HazardCase{true, 1}, HazardCase{true, 4},
+                                           HazardCase{false, 1}, HazardCase{false, 4}),
+                         [](const ::testing::TestParamInfo<HazardCase>& param_info) {
+                           return std::string(param_info.param.pipeline ? "pipe" : "nopipe") +
+                                  "_t" + std::to_string(param_info.param.threads);
+                         });
+
+// A matrix carried across a stage boundary arrives as row-band pieces
+// (Matrix views, not Matrix*); writing it in the consuming stage must merge
+// those pieces.
+TEST(MatrixAnnotatedTest, CarriedRowBandsMerge) {
+  const long n = 256;
+  for (int threads : {1, 4}) {
+    Matrix a = Filled(n, n);
+    std::vector<double> x(static_cast<std::size_t>(n), 0.25);
+    std::vector<double> y(static_cast<std::size_t>(n));
+    Matrix want_a = Filled(n, n);
+    std::vector<double> want_x = x;
+    std::vector<double> want_y(static_cast<std::size_t>(n));
+    matrix::MulScalar(&want_a, 2.0, &want_a);
+    for (double& v : want_x) {
+      v += v;
+    }
+    matrix::Gemv(&want_a, want_x.data(), want_y.data());
+    matrix::MulScalar(&want_a, 3.0, &want_a);
+
+    mz::Runtime rt(TestOptions(threads));
+    mz::RuntimeScope scope(&rt);
+    mzmat::MulScalar(&a, 2.0, &a);
+    mzvec::Add(n, x.data(), x.data(), x.data());
+    mzmat::Gemv(&a, x.data(), y.data());  // "_" read of x: stage break
+    mzmat::MulScalar(&a, 3.0, &a);
+    rt.Evaluate();
+    mz::EvalStats::Snapshot stats = rt.stats().Take();
+    EXPECT_EQ(stats.stages, 2);
+    EXPECT_GE(stats.boundaries_elided, 1);
+    for (long r = 0; r < n; ++r) {
+      ASSERT_TRUE(SameBytes(a.row(r), want_a.row(r), n)) << "t" << threads << " row " << r;
+    }
+    EXPECT_TRUE(SameBytes(y.data(), want_y.data(), n)) << "t" << threads;
+  }
 }
 
 TEST(MatrixAnnotatedTest, WholeMatrixReductions) {
@@ -292,6 +491,153 @@ TEST(MatrixAnnotatedTest, OuterDiffThenElementwiseSingleStage) {
   EXPECT_EQ(rt.stats().Take().stages, 1);
   EXPECT_DOUBLE_EQ(sq.at(3, 70), want_sq.at(3, 70));
 }
+
+// The same carry without a concrete split type: with one node per stage
+// (the "-pipe" ablation), a generic chain over one matrix carries its
+// default row bands from stage to stage and merges them at the end.
+TEST(MatrixAnnotatedTest, CarriedDefaultRowBandsMergeWithoutPipelining) {
+  const long n = 200;
+  Matrix a = Filled(n, n);
+  Matrix want = Filled(n, n);
+  matrix::MulScalar(&want, 2.0, &want);
+  matrix::AddScalar(&want, 1.0, &want);
+  matrix::Sqrt(&want, &want);
+
+  mz::RuntimeOptions opts = TestOptions(4);
+  opts.pipeline = false;
+  mz::Runtime rt(opts);
+  mz::RuntimeScope scope(&rt);
+  mzmat::MulScalar(&a, 2.0, &a);
+  mzmat::AddScalar(&a, 1.0, &a);
+  mzmat::Sqrt(&a, &a);
+  rt.Evaluate();
+  mz::EvalStats::Snapshot stats = rt.stats().Take();
+  EXPECT_EQ(stats.stages, 3);
+  EXPECT_EQ(stats.boundaries_elided, 2);
+  for (long r = 0; r < n; ++r) {
+    ASSERT_TRUE(SameBytes(a.row(r), want.row(r), n)) << "row " << r;
+  }
+}
+
+// Shallow Water (the fig4d stencil): periodic central differences built
+// from rolls, then forward-Euler updates; `Lib` is the eager library or its
+// annotated twin.
+struct Eager {
+  static constexpr auto RollRows = matrix::RollRows;
+  static constexpr auto RollCols = matrix::RollCols;
+  static constexpr auto Sub = matrix::Sub;
+  static constexpr auto Add = matrix::Add;
+  static constexpr auto MulScalar = matrix::MulScalar;
+  static constexpr auto AddScaled = matrix::AddScaled;
+};
+
+struct Lazy {
+  static void RollRows(const Matrix* a, long s, Matrix* o) { mzmat::RollRows(a, s, o); }
+  static void RollCols(const Matrix* a, long s, Matrix* o) { mzmat::RollCols(a, s, o); }
+  static void Sub(const Matrix* a, const Matrix* b, Matrix* o) { mzmat::Sub(a, b, o); }
+  static void Add(const Matrix* a, const Matrix* b, Matrix* o) { mzmat::Add(a, b, o); }
+  static void MulScalar(const Matrix* a, double c, Matrix* o) { mzmat::MulScalar(a, c, o); }
+  static void AddScaled(const Matrix* a, double al, const Matrix* b, Matrix* o) {
+    mzmat::AddScaled(a, al, b, o);
+  }
+};
+
+struct StencilState {
+  explicit StencilState(long n) {
+    for (Matrix* m : {&h, &u, &v, &h2, &u2, &v2, &ra, &rb, &dudx, &dvdy, &dhdx, &dhdy, &div}) {
+      *m = Matrix(n, n);
+    }
+    for (long r = 0; r < n; ++r) {
+      for (long c = 0; c < n; ++c) {
+        double x = static_cast<double>(r * 31 + c * 17);
+        h.at(r, c) = 1.0 + 0.5 * std::sin(x * 0.01);
+        u.at(r, c) = 1e-3 * std::cos(x * 0.02);
+        v.at(r, c) = -1e-3 * std::sin(x * 0.03);
+      }
+    }
+  }
+
+  template <typename Lib>
+  void Steps(int steps) {
+    const double dt = 0.001;
+    const double g = 9.8;
+    const double inv_2dx = 0.5;
+    Matrix *sh = &h, *su = &u, *sv = &v, *dh = &h2, *du = &u2, *dv = &v2;
+    for (int s = 0; s < steps; ++s) {
+      Lib::RollRows(su, 1, &ra);
+      Lib::RollRows(su, -1, &rb);
+      Lib::Sub(&ra, &rb, &dudx);
+      Lib::MulScalar(&dudx, inv_2dx, &dudx);
+      Lib::RollCols(sv, 1, &ra);
+      Lib::RollCols(sv, -1, &rb);
+      Lib::Sub(&ra, &rb, &dvdy);
+      Lib::MulScalar(&dvdy, inv_2dx, &dvdy);
+      Lib::RollRows(sh, 1, &ra);
+      Lib::RollRows(sh, -1, &rb);
+      Lib::Sub(&ra, &rb, &dhdx);
+      Lib::MulScalar(&dhdx, inv_2dx, &dhdx);
+      Lib::RollCols(sh, 1, &ra);
+      Lib::RollCols(sh, -1, &rb);
+      Lib::Sub(&ra, &rb, &dhdy);
+      Lib::MulScalar(&dhdy, inv_2dx, &dhdy);
+      Lib::Add(&dudx, &dvdy, &div);
+      Lib::AddScaled(sh, -dt, &div, dh);
+      Lib::AddScaled(su, -dt * g, &dhdx, du);
+      Lib::AddScaled(sv, -dt * g, &dhdy, dv);
+      std::swap(sh, dh);
+      std::swap(su, du);
+      std::swap(sv, dv);
+    }
+  }
+
+  Matrix h, u, v, h2, u2, v2, ra, rb, dudx, dvdy, dhdx, dhdy, div;
+};
+
+struct StencilCase {
+  std::int64_t batch;  // 0 = L2 heuristic
+  int threads;
+};
+
+void PrintTo(const StencilCase& c, std::ostream* os) {
+  *os << "batch " << c.batch << ", " << c.threads << " thread(s)";
+}
+
+class StencilDifferential : public ::testing::TestWithParam<StencilCase> {};
+
+TEST_P(StencilDifferential, ShallowWaterMatchesEagerByteForByte) {
+  const long n = 96;  // not a multiple of the 37-row batch
+  const int steps = 3;
+  StencilState want(n);
+  want.Steps<Eager>(steps);
+
+  StencilState got(n);
+  mz::RuntimeOptions opts = TestOptions(GetParam().threads);
+  opts.batch_elems_override = GetParam().batch;
+  mz::Runtime rt(opts);
+  mz::RuntimeScope scope(&rt);
+  got.Steps<Lazy>(steps);
+  rt.Evaluate();
+  // One pipelined stage per step: each step's first roll reads the state
+  // the previous step wrote.
+  EXPECT_EQ(rt.stats().Take().stages, steps);
+  const std::pair<const Matrix*, const Matrix*> pairs[] = {
+      {&got.h, &want.h},   {&got.u, &want.u},   {&got.v, &want.v},
+      {&got.h2, &want.h2}, {&got.u2, &want.u2}, {&got.v2, &want.v2}};
+  for (const auto& [g, w] : pairs) {
+    for (long r = 0; r < n; ++r) {
+      ASSERT_TRUE(SameBytes(g->row(r), w->row(r), n)) << "row " << r;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchThreads, StencilDifferential,
+                         ::testing::Values(StencilCase{1, 1}, StencilCase{37, 1},
+                                           StencilCase{0, 1}, StencilCase{1, 4},
+                                           StencilCase{37, 4}, StencilCase{0, 4}),
+                         [](const ::testing::TestParamInfo<StencilCase>& param_info) {
+                           return "b" + std::to_string(param_info.param.batch) + "_t" +
+                                  std::to_string(param_info.param.threads);
+                         });
 
 // Parameterized: elementwise chains across thread counts and shapes.
 struct MatrixSweep {
