@@ -23,7 +23,7 @@ scale="${MOZART_BENCH_SCALE:-1}"
 repeats="${MOZART_BENCH_REPEATS:-1}"
 # The benches that currently emit Metric() lines. Binaries without metrics
 # still run fine under MOZART_BENCH_JSON; they just contribute nothing.
-benches="${MOZART_BENCH_LIST:-table4_pipelining fig5_overheads fig6_batch_size fig7_intensity stream_throughput concurrency loadgen_serving}"
+benches="${MOZART_BENCH_LIST:-table4_pipelining fig5_overheads fig6_batch_size fig7_intensity stream_throughput concurrency loadgen_serving df_kernels}"
 
 cmake -B build -S . -DMZ_SANITIZE=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build -j "$jobs" --target $benches >/dev/null

@@ -6,7 +6,7 @@
 # Usage:
 #   scripts/check.sh            # plain build + tests
 #   scripts/check.sh --asan     # additionally run the suite under ASan/UBSan
-#   scripts/check.sh --tsan     # additionally run core/common under TSan
+#   scripts/check.sh --tsan     # additionally run the concurrency labels under TSan
 #   scripts/check.sh --chaos    # extended seeded fault-injection sweep
 #                               # (MZ_CHAOS_SEEDS widens the per-cell seed
 #                               # range; default 25 → 200 matrix runs)
@@ -60,12 +60,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # admission, batching — the `serving` label groups its test battery), the
   # runtime, and the pool. The full suite under TSan's ~10x slowdown is not
   # worth the wall time; these labels cover every lock. `matrix` adds the
-  # 4-thread stencil and carried row-band tests.
+  # 4-thread stencil and carried row-band tests; `dataframe` adds the
+  # DfThreadSweep hand-off of carried Column slices between pool threads.
   # lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV
   # handler by design (§4.1 protected memory), which trips TSan's
   # signal-safety checker — a design property, not a data race.
-  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|matrix) =="
+  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|matrix|dataframe) =="
   cmake -B build-tsan -S . -DMZ_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
-  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|matrix" -E lazy_heap)
+  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|matrix|dataframe" -E lazy_heap)
 fi

@@ -85,7 +85,7 @@ void NBodyStepFused(long n, double* x, double* y, double* z, double* vx, double*
         double dy = y[j] - y[i];
         double dz = z[j] - z[i];
         double r2 = dx * dx + dy * dy + dz * dz + softening;
-        double inv_r3 = 1.0 / (r2 * std::sqrt(r2));
+        double inv_r3 = std::pow(r2, -1.5);
         axi += dx * inv_r3;
         ayi += dy * inv_r3;
         azi += dz * inv_r3;

@@ -10,6 +10,20 @@
 // is why (as in the paper) compilers can beat Mozart on compute-heavy
 // pipelines while Mozart wins where hand-optimized library internals
 // dominate.
+//
+// A fused kernel stands for the data-movement ceiling, so it should do the
+// same per-element math as the library calls it replaces. Cross-element
+// reductions are summed per thread and then combined, so their order
+// differs. The per-element deviations that remain:
+//   BlackScholesFused: N(x) is 0.5 * (1 + erf(x / sqrt(2))), where the
+//     library multiplies by a precomputed 1 / sqrt(2); N(-d) is evaluated
+//     directly, where the library computes 1 - N(d).
+//   HaversineFused: multiplies cos(lat0) * cos(lat) * sin^2 in the opposite
+//     order from the library chain (sin^2 * cos(lat) * cos(lat0)).
+//   MovieLensFused: joins through a user -> gender map, so it assumes unique
+//     user keys, where the library join emits one row per duplicate.
+//   NBodyStepFused, ShallowWaterStepFused, CrimeIndexFused,
+//   DataCleaningFused, BirthAnalysisFused, FusedPointPipeline: none.
 #ifndef MOZART_BASELINES_FUSED_H_
 #define MOZART_BASELINES_FUSED_H_
 
@@ -31,7 +45,8 @@ void HaversineFused(long n, const double* lat, const double* lon, double lat0, d
                     double* dist, int threads);
 
 // Fused nBody acceleration + leapfrog update: one pass over the (i, j) pair
-// space per step, accumulating forces in registers.
+// space per step, accumulating forces in registers. The inverse cube
+// distance is std::pow(r2, -1.5), as matrix::Pow computes it.
 void NBodyStepFused(long n, double* x, double* y, double* z, double* vx, double* vy, double* vz,
                     double dt, double softening, int threads);
 

@@ -51,6 +51,31 @@ Column Column::Slice(long r0, long r1) const {
   return c;
 }
 
+namespace {
+
+template <typename T>
+std::vector<T> Gather(std::span<const T> in, std::span<const long> rows) {
+  std::vector<T> out(rows.size());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    out[k] = in[static_cast<std::size_t>(rows[k])];
+  }
+  return out;
+}
+
+}  // namespace
+
+Column Column::Take(std::span<const long> rows) const {
+  switch (type_) {
+    case ColType::kDouble:
+      return Doubles(Gather(doubles(), rows));
+    case ColType::kInt64:
+      return Ints(Gather(ints(), rows));
+    case ColType::kString:
+      return Strings(Gather(strings(), rows));
+  }
+  MZ_THROW("unreachable column type");
+}
+
 Column Column::Concat(std::span<const Column> parts) {
   MZ_CHECK_MSG(!parts.empty(), "Column::Concat of nothing");
   ColType type = parts.front().type();

@@ -48,6 +48,10 @@ class Column {
   // Zero-copy view over rows [r0, r1).
   Column Slice(long r0, long r1) const;
 
+  // Gather: a new column whose k-th value is this column's row rows[k]. Every
+  // row must lie in [0, size()); rows may repeat and come in any order.
+  Column Take(std::span<const long> rows) const;
+
   // Concatenates columns of identical type in order.
   static Column Concat(std::span<const Column> parts);
 

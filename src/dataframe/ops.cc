@@ -1,7 +1,9 @@
 #include "dataframe/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -62,6 +64,20 @@ Column MaskFromString(const Column& a, F pred) {
   return Column::Ints(std::move(out));
 }
 
+// Folds a key's four member hashes into one hash code.
+std::size_t FoldKeyHash(std::int64_t a, std::int64_t b, std::size_t hsa, std::size_t hsb) {
+  std::size_t h = std::hash<std::int64_t>()(a);
+  h = h * 1315423911u ^ std::hash<std::int64_t>()(b);
+  h = h * 1315423911u ^ hsa;
+  h = h * 1315423911u ^ hsb;
+  return h;
+}
+
+std::size_t EmptyStringHash() {
+  static const std::size_t h = std::hash<std::string>()("");
+  return h;
+}
+
 // Group keys as strings are hashed by value; numeric keys by bit pattern.
 struct GroupKey {
   std::int64_t a = 0;
@@ -72,15 +88,35 @@ struct GroupKey {
   bool operator==(const GroupKey&) const = default;
 };
 
-struct GroupKeyHash {
+// The string-free key used when no key column is a string. It hashes exactly
+// as the GroupKey with the same numbers and empty strings, so a map keyed by
+// NumKey iterates its groups in the same order as one keyed by GroupKey.
+struct NumKey {
+  std::int64_t a = 0;
+  std::int64_t b = 0;
+
+  bool operator==(const NumKey&) const = default;
+};
+
+struct KeyHash {
   std::size_t operator()(const GroupKey& k) const {
-    std::size_t h = std::hash<std::int64_t>()(k.a);
-    h = h * 1315423911u ^ std::hash<std::int64_t>()(k.b);
-    h = h * 1315423911u ^ std::hash<std::string>()(k.sa);
-    h = h * 1315423911u ^ std::hash<std::string>()(k.sb);
-    return h;
+    return FoldKeyHash(k.a, k.b, std::hash<std::string>()(k.sa), std::hash<std::string>()(k.sb));
+  }
+  std::size_t operator()(const NumKey& k) const {
+    return FoldKeyHash(k.a, k.b, EmptyStringHash(), EmptyStringHash());
   }
 };
+
+// Double keys group at 1e-6 resolution. NaN and values whose scaled image
+// lies outside int64 (where the cast is undefined) all map to INT64_MIN, the
+// value x86's truncating conversion gives them.
+std::int64_t DoubleKey(double x) {
+  double scaled = x * 1e6;
+  if (scaled >= -0x1p63 && scaled < 0x1p63) {
+    return static_cast<std::int64_t>(scaled);
+  }
+  return std::numeric_limits<std::int64_t>::min();
+}
 
 GroupKey KeyAt(const Column& c0, const Column* c1, long row) {
   GroupKey k;
@@ -89,7 +125,7 @@ GroupKey KeyAt(const Column& c0, const Column* c1, long row) {
   } else if (c0.is_int()) {
     k.a = c0.i64(row);
   } else {
-    k.a = static_cast<std::int64_t>(c0.d(row) * 1e6);
+    k.a = DoubleKey(c0.d(row));
   }
   if (c1 != nullptr) {
     if (c1->is_string()) {
@@ -97,57 +133,78 @@ GroupKey KeyAt(const Column& c0, const Column* c1, long row) {
     } else if (c1->is_int()) {
       k.b = c1->i64(row);
     } else {
-      k.b = static_cast<std::int64_t>(c1->d(row) * 1e6);
+      k.b = DoubleKey(c1->d(row));
     }
   }
   return k;
 }
 
-double NumericAt(const Column& c, long row) {
-  if (c.is_double()) {
-    return c.d(row);
+// Reads the numeric key of an int64 or double column (0 for an absent one).
+class NumKeyReader {
+ public:
+  explicit NumKeyReader(const Column* c) {
+    if (c != nullptr && c->is_int()) {
+      ints_ = c->ints().data();
+    } else if (c != nullptr) {
+      doubles_ = c->doubles().data();
+    }
   }
-  if (c.is_int()) {
-    return static_cast<double>(c.i64(row));
+
+  std::int64_t operator()(long row) const {
+    if (ints_ != nullptr) {
+      return ints_[row];
+    }
+    return doubles_ != nullptr ? DoubleKey(doubles_[row]) : 0;
   }
-  MZ_THROW("aggregation value column must be numeric");
+
+ private:
+  const std::int64_t* ints_ = nullptr;
+  const double* doubles_ = nullptr;
+};
+
+// Calls body(key_at) with a row → key function over one or two key columns:
+// NumKey when neither is a string column, GroupKey otherwise.
+template <typename Body>
+auto WithKeys(const Column& c0, const Column* c1, Body body) {
+  if (c0.is_string() || (c1 != nullptr && c1->is_string())) {
+    return body([&c0, c1](long row) { return KeyAt(c0, c1, row); });
+  }
+  NumKeyReader r0(&c0);
+  NumKeyReader r1(c1);
+  return body([r0, r1](long row) { return NumKey{r0(row), r1(row)}; });
 }
 
-// Appends `row` of `src` to per-type builders; used by join materialization.
-struct ColumnBuilder {
-  ColType type;
-  std::vector<double> d;
-  std::vector<std::int64_t> i;
-  std::vector<std::string> s;
-
-  explicit ColumnBuilder(ColType t) : type(t) {}
-
-  void Append(const Column& src, long row) {
-    switch (type) {
-      case ColType::kDouble:
-        d.push_back(src.d(row));
-        break;
-      case ColType::kInt64:
-        i.push_back(src.i64(row));
-        break;
-      case ColType::kString:
-        s.push_back(src.str(row));
-        break;
+// Reads a numeric aggregation value column as doubles.
+class ValueReader {
+ public:
+  explicit ValueReader(const Column& c) {
+    if (c.is_double()) {
+      doubles_ = c.doubles().data();
+    } else if (c.is_int()) {
+      ints_ = c.ints().data();
+    } else {
+      MZ_CHECK_MSG(c.empty(), "aggregation value column must be numeric");
     }
   }
 
-  Column Finish() {
-    switch (type) {
-      case ColType::kDouble:
-        return Column::Doubles(std::move(d));
-      case ColType::kInt64:
-        return Column::Ints(std::move(i));
-      case ColType::kString:
-        return Column::Strings(std::move(s));
-    }
-    MZ_THROW("unreachable");
+  double operator()(long row) const {
+    return doubles_ != nullptr ? doubles_[row] : static_cast<double>(ints_[row]);
   }
+
+ private:
+  const double* doubles_ = nullptr;
+  const std::int64_t* ints_ = nullptr;
 };
+
+// Takes every column of `frame` at `rows`.
+std::vector<Column> TakeColumns(const DataFrame& frame, std::span<const long> rows) {
+  std::vector<Column> cols;
+  cols.reserve(static_cast<std::size_t>(frame.num_cols()));
+  for (int c = 0; c < frame.num_cols(); ++c) {
+    cols.push_back(frame.col(c).Take(rows));
+  }
+  return cols;
+}
 
 }  // namespace
 
@@ -192,7 +249,7 @@ Column MaskAnd(const Column& a, const Column& b) {
   MZ_CHECK_MSG(xa.size() == xb.size(), "mask length mismatch");
   std::vector<std::int64_t> out(xa.size());
   for (std::size_t i = 0; i < xa.size(); ++i) {
-    out[i] = (xa[i] != 0 && xb[i] != 0) ? 1 : 0;
+    out[i] = static_cast<std::int64_t>(xa[i] != 0) & static_cast<std::int64_t>(xb[i] != 0);
   }
   return Column::Ints(std::move(out));
 }
@@ -203,7 +260,7 @@ Column MaskOr(const Column& a, const Column& b) {
   MZ_CHECK_MSG(xa.size() == xb.size(), "mask length mismatch");
   std::vector<std::int64_t> out(xa.size());
   for (std::size_t i = 0; i < xa.size(); ++i) {
-    out[i] = (xa[i] != 0 || xb[i] != 0) ? 1 : 0;
+    out[i] = static_cast<std::int64_t>(xa[i] != 0) | static_cast<std::int64_t>(xb[i] != 0);
   }
   return Column::Ints(std::move(out));
 }
@@ -231,7 +288,10 @@ Column ColWhere(const Column& mask, const Column& a, double otherwise) {
   MZ_CHECK_MSG(m.size() == in.size(), "mask length mismatch");
   std::vector<double> out(in.size());
   for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = m[i] != 0 ? in[i] : otherwise;
+    // Branchless bit select: masks are often random, so a branch mispredicts.
+    std::uint64_t keep = 0 - static_cast<std::uint64_t>(m[i] != 0);
+    out[i] = std::bit_cast<double>((std::bit_cast<std::uint64_t>(in[i]) & keep) |
+                                   (std::bit_cast<std::uint64_t>(otherwise) & ~keep));
   }
   return Column::Doubles(std::move(out));
 }
@@ -349,81 +409,69 @@ DataFrame WithColumn(const DataFrame& frame, const std::string& name, const Colu
 DataFrame FilterRows(const DataFrame& frame, const Column& mask) {
   auto m = mask.ints();
   MZ_CHECK_MSG(static_cast<long>(m.size()) == frame.num_rows(), "filter mask length mismatch");
-  std::vector<long> keep;
+  // Branchless selection vector: every row is written, only kept rows advance.
+  std::vector<long> keep(m.size());
+  std::size_t k = 0;
   for (std::size_t i = 0; i < m.size(); ++i) {
-    if (m[i] != 0) {
-      keep.push_back(static_cast<long>(i));
-    }
+    keep[k] = static_cast<long>(i);
+    k += m[i] != 0 ? 1 : 0;
   }
-  std::vector<Column> cols;
-  cols.reserve(static_cast<std::size_t>(frame.num_cols()));
-  for (int c = 0; c < frame.num_cols(); ++c) {
-    ColumnBuilder builder(frame.col(c).type());
-    for (long row : keep) {
-      builder.Append(frame.col(c), row);
-    }
-    cols.push_back(builder.Finish());
-  }
+  keep.resize(k);
   std::vector<std::string> names = frame.names();
-  return DataFrame::Make(std::move(names), std::move(cols));
+  return DataFrame::Make(std::move(names), TakeColumns(frame, keep));
 }
 
 DataFrame GroupByAgg(const DataFrame& frame, long key0, long key1, long val, long op) {
   const Column& k0 = frame.col(static_cast<int>(key0));
   const Column* k1 = key1 >= 0 ? &frame.col(static_cast<int>(key1)) : nullptr;
-  const Column& v = frame.col(static_cast<int>(val));
+  ValueReader value(frame.col(static_cast<int>(val)));
 
   struct Agg {
     double sum = 0;
     double count = 0;
     double mn = 0;
     double mx = 0;
-    bool seen = false;
     long first_row = 0;
   };
-  std::unordered_map<GroupKey, Agg, GroupKeyHash> groups;
-  for (long r = 0; r < frame.num_rows(); ++r) {
-    GroupKey key = KeyAt(k0, k1, r);
-    Agg& agg = groups[key];
-    double x = NumericAt(v, r);
-    if (!agg.seen) {
-      agg.mn = x;
-      agg.mx = x;
-      agg.first_row = r;
-      agg.seen = true;
-    } else {
-      agg.mn = std::min(agg.mn, x);
-      agg.mx = std::max(agg.mx, x);
-    }
-    agg.sum += x;
-    agg.count += 1;
-  }
-
-  // Materialize: key columns keep their original types and names.
-  ColumnBuilder kb0(k0.type());
-  ColumnBuilder kb1(k1 != nullptr ? k1->type() : ColType::kInt64);
+  std::vector<long> first_rows;
   std::vector<double> sums;
   std::vector<double> counts;
   std::vector<double> mins;
   std::vector<double> maxs;
-  for (const auto& [key, agg] : groups) {
-    kb0.Append(k0, agg.first_row);
-    if (k1 != nullptr) {
-      kb1.Append(*k1, agg.first_row);
+  WithKeys(k0, k1, [&](auto key_at) {
+    std::unordered_map<decltype(key_at(0L)), Agg, KeyHash> groups;
+    for (long r = 0; r < frame.num_rows(); ++r) {
+      auto [it, inserted] = groups.try_emplace(key_at(r));
+      Agg& agg = it->second;
+      double x = value(r);
+      if (inserted) {
+        agg.mn = x;
+        agg.mx = x;
+        agg.first_row = r;
+      } else {
+        agg.mn = std::min(agg.mn, x);
+        agg.mx = std::max(agg.mx, x);
+      }
+      agg.sum += x;
+      agg.count += 1;
     }
-    sums.push_back(agg.sum);
-    counts.push_back(agg.count);
-    mins.push_back(agg.mn);
-    maxs.push_back(agg.mx);
-  }
+    for (const auto& [key, agg] : groups) {
+      first_rows.push_back(agg.first_row);
+      sums.push_back(agg.sum);
+      counts.push_back(agg.count);
+      mins.push_back(agg.mn);
+      maxs.push_back(agg.mx);
+    }
+  });
 
+  // Materialize: key columns keep their original types and names.
   std::vector<std::string> names;
   std::vector<Column> cols;
   names.push_back(frame.names()[static_cast<std::size_t>(key0)]);
-  cols.push_back(kb0.Finish());
+  cols.push_back(k0.Take(first_rows));
   if (k1 != nullptr) {
     names.push_back(frame.names()[static_cast<std::size_t>(key1)]);
-    cols.push_back(kb1.Finish());
+    cols.push_back(k1->Take(first_rows));
   }
   switch (op) {
     case kAggSum:
@@ -458,52 +506,49 @@ DataFrame HashJoin(const DataFrame& left, const DataFrame& right, long left_key,
   const Column& lk = left.col(static_cast<int>(left_key));
   const Column& rk = right.col(static_cast<int>(right_key));
 
-  std::unordered_map<GroupKey, std::vector<long>, GroupKeyHash> build;
-  for (long r = 0; r < right.num_rows(); ++r) {
-    build[KeyAt(rk, nullptr, r)].push_back(r);
+  // The matching (left row, right row) pairs, left-row-major with each left
+  // row's matches in right-row order.
+  std::vector<long> lrows;
+  std::vector<long> rrows;
+  auto join = [&](auto left_key_at, auto right_key_at) {
+    std::unordered_map<decltype(right_key_at(0L)), std::vector<long>, KeyHash> build;
+    for (long r = 0; r < right.num_rows(); ++r) {
+      build[right_key_at(r)].push_back(r);
+    }
+    lrows.reserve(static_cast<std::size_t>(left.num_rows()));
+    rrows.reserve(static_cast<std::size_t>(left.num_rows()));
+    for (long r = 0; r < left.num_rows(); ++r) {
+      auto it = build.find(left_key_at(r));
+      if (it == build.end()) {
+        continue;
+      }
+      for (long rr : it->second) {
+        lrows.push_back(r);
+        rrows.push_back(rr);
+      }
+    }
+  };
+  if (lk.is_string() || rk.is_string()) {
+    join([&](long r) { return KeyAt(lk, nullptr, r); },
+         [&](long r) { return KeyAt(rk, nullptr, r); });
+  } else {
+    NumKeyReader lr(&lk);
+    NumKeyReader rr(&rk);
+    join([lr](long r) { return NumKey{lr(r), 0}; }, [rr](long r) { return NumKey{rr(r), 0}; });
   }
 
-  std::vector<ColumnBuilder> out_cols;
-  std::vector<std::string> out_names;
-  for (int c = 0; c < left.num_cols(); ++c) {
-    out_cols.emplace_back(left.col(c).type());
-    out_names.push_back(left.names()[static_cast<std::size_t>(c)]);
-  }
+  std::vector<std::string> out_names = left.names();
+  std::vector<Column> cols = TakeColumns(left, lrows);
   for (int c = 0; c < right.num_cols(); ++c) {
     if (c == static_cast<int>(right_key)) {
       continue;
     }
-    out_cols.emplace_back(right.col(c).type());
     std::string name = right.names()[static_cast<std::size_t>(c)];
     if (left.col_index(name) >= 0) {
       name += "_right";
     }
     out_names.push_back(name);
-  }
-
-  for (long r = 0; r < left.num_rows(); ++r) {
-    auto it = build.find(KeyAt(lk, nullptr, r));
-    if (it == build.end()) {
-      continue;
-    }
-    for (long rr : it->second) {
-      int out = 0;
-      for (int c = 0; c < left.num_cols(); ++c) {
-        out_cols[static_cast<std::size_t>(out++)].Append(left.col(c), r);
-      }
-      for (int c = 0; c < right.num_cols(); ++c) {
-        if (c == static_cast<int>(right_key)) {
-          continue;
-        }
-        out_cols[static_cast<std::size_t>(out++)].Append(right.col(c), rr);
-      }
-    }
-  }
-
-  std::vector<Column> cols;
-  cols.reserve(out_cols.size());
-  for (ColumnBuilder& b : out_cols) {
-    cols.push_back(b.Finish());
+    cols.push_back(right.col(c).Take(rrows));
   }
   return DataFrame::Make(std::move(out_names), std::move(cols));
 }
@@ -521,53 +566,50 @@ DataFrame ReAggregate(const DataFrame& partials, long num_keys, long op) {
     std::vector<double> vals;
     long first_row = 0;
   };
-  std::unordered_map<GroupKey, Entry, GroupKeyHash> groups;
-  for (long r = 0; r < partials.num_rows(); ++r) {
-    GroupKey key = KeyAt(k0, k1, r);
-    auto [it, inserted] = groups.try_emplace(key);
-    Entry& e = it->second;
-    if (inserted) {
-      e.first_row = r;
-      e.vals.resize(static_cast<std::size_t>(num_vals));
-      for (int v = 0; v < num_vals; ++v) {
-        e.vals[static_cast<std::size_t>(v)] =
-            partials.col(static_cast<int>(num_keys) + v).d(r);
-      }
-      continue;
-    }
-    for (int v = 0; v < num_vals; ++v) {
-      double x = partials.col(static_cast<int>(num_keys) + v).d(r);
-      double& acc = e.vals[static_cast<std::size_t>(v)];
-      if (fold_min) {
-        acc = std::min(acc, x);
-      } else if (fold_max) {
-        acc = std::max(acc, x);
-      } else {
-        acc += x;  // sum, count, and mean partials all re-sum
-      }
-    }
-  }
-
-  ColumnBuilder kb0(k0.type());
-  ColumnBuilder kb1(k1 != nullptr ? k1->type() : ColType::kInt64);
+  std::vector<long> first_rows;
   std::vector<std::vector<double>> vals(static_cast<std::size_t>(num_vals));
-  for (const auto& [key, e] : groups) {
-    kb0.Append(k0, e.first_row);
-    if (k1 != nullptr) {
-      kb1.Append(*k1, e.first_row);
+  WithKeys(k0, k1, [&](auto key_at) {
+    std::unordered_map<decltype(key_at(0L)), Entry, KeyHash> groups;
+    for (long r = 0; r < partials.num_rows(); ++r) {
+      auto [it, inserted] = groups.try_emplace(key_at(r));
+      Entry& e = it->second;
+      if (inserted) {
+        e.first_row = r;
+        e.vals.resize(static_cast<std::size_t>(num_vals));
+        for (int v = 0; v < num_vals; ++v) {
+          e.vals[static_cast<std::size_t>(v)] =
+              partials.col(static_cast<int>(num_keys) + v).d(r);
+        }
+        continue;
+      }
+      for (int v = 0; v < num_vals; ++v) {
+        double x = partials.col(static_cast<int>(num_keys) + v).d(r);
+        double& acc = e.vals[static_cast<std::size_t>(v)];
+        if (fold_min) {
+          acc = std::min(acc, x);
+        } else if (fold_max) {
+          acc = std::max(acc, x);
+        } else {
+          acc += x;  // sum, count, and mean partials all re-sum
+        }
+      }
     }
-    for (int v = 0; v < num_vals; ++v) {
-      vals[static_cast<std::size_t>(v)].push_back(e.vals[static_cast<std::size_t>(v)]);
+    for (const auto& [key, e] : groups) {
+      first_rows.push_back(e.first_row);
+      for (int v = 0; v < num_vals; ++v) {
+        vals[static_cast<std::size_t>(v)].push_back(e.vals[static_cast<std::size_t>(v)]);
+      }
     }
-  }
+  });
+
   std::vector<std::string> names = partials.names();
   std::vector<Column> cols;
-  cols.push_back(kb0.Finish());
+  cols.push_back(k0.Take(first_rows));
   if (k1 != nullptr) {
-    cols.push_back(kb1.Finish());
+    cols.push_back(k1->Take(first_rows));
   }
-  for (int v = 0; v < num_vals; ++v) {
-    cols.push_back(Column::Doubles(std::move(vals[static_cast<std::size_t>(v)])));
+  for (std::vector<double>& v : vals) {
+    cols.push_back(Column::Doubles(std::move(v)));
   }
   return DataFrame::Make(std::move(names), std::move(cols));
 }
@@ -601,16 +643,8 @@ DataFrame SortByKeys(const DataFrame& frame, int num_keys) {
     }
     return false;
   });
-  std::vector<Column> cols;
   std::vector<std::string> names = frame.names();
-  for (int c = 0; c < frame.num_cols(); ++c) {
-    ColumnBuilder builder(frame.col(c).type());
-    for (long row : order) {
-      builder.Append(frame.col(c), row);
-    }
-    cols.push_back(builder.Finish());
-  }
-  return DataFrame::Make(std::move(names), std::move(cols));
+  return DataFrame::Make(std::move(names), TakeColumns(frame, order));
 }
 
 }  // namespace df
