@@ -27,6 +27,12 @@ SplitExpr NoSplit() {
   return e;
 }
 
+SplitExpr Halo() {
+  SplitExpr e;
+  e.kind = SplitExpr::Kind::kHalo;
+  return e;
+}
+
 SplitExpr Unknown() {
   SplitExpr e;
   e.kind = SplitExpr::Kind::kUnknown;
@@ -62,6 +68,8 @@ AnnotationBuilder& AnnotationBuilder::MutArg(std::string_view name, SplitExpr ex
 
 AnnotationBuilder& AnnotationBuilder::Returns(SplitExpr expr) {
   MZ_THROW_IF(has_ret_, "annotation '" << ann_.func_name_ << "': Returns() specified twice");
+  MZ_THROW_IF(expr.kind == SplitExpr::Kind::kHalo,
+              "annotation '" << ann_.func_name_ << "': a halo is only valid on an argument");
   has_ret_ = true;
   ann_.ret_ = std::move(expr);
   return *this;

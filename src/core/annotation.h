@@ -17,7 +17,9 @@
 //
 // Generics ("S"), the missing type ("_"), and `unknown` map to Generic(...),
 // NoSplit(), and Unknown() respectively; the return value's split type is set
-// with Returns(...).
+// with Returns(...). Halo() is a "_" for stencil sources: every batch still
+// reads the whole value, but a batch touches only the rows around its own
+// band, so the footprint model charges it per element rather than whole.
 #ifndef MOZART_CORE_ANNOTATION_H_
 #define MOZART_CORE_ANNOTATION_H_
 
@@ -37,6 +39,7 @@ struct SplitExpr {
     kConcrete,  // Name(arg, ...): concrete split type with a constructor
     kGeneric,   // "S": resolved by type inference
     kUnknown,   // `unknown`: unique type — only valid for `ret`
+    kHalo,      // planned and executed as "_"; charged per element (stencils)
   };
 
   Kind kind = Kind::kMissing;
@@ -53,6 +56,7 @@ SplitExpr Split(std::string_view split_type, std::vector<std::string> ctor_args 
 SplitExpr Generic(std::string_view name);
 SplitExpr NoSplit();
 SplitExpr Unknown();
+SplitExpr Halo();
 
 struct ArgSpec {
   std::string name;

@@ -482,12 +482,15 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
   // planner's splitter-declared widths (elem_bytes_hint). Broadcast ("_")
   // operands sit cache-resident for the whole stage regardless of the batch
   // size (a hash join's build side), so they charge *resident* bytes that
-  // shrink the batch budget instead of per-element bytes.
-  std::int64_t resident_max = 0;
+  // shrink the batch budget instead of per-element bytes. Halo broadcasts
+  // (a stencil's source) are read around each batch's band only, so they
+  // charge their width per element — unless their element count differs
+  // from the region's, when no band correspondence exists and they fall back
+  // to the resident charge.
   for (std::size_t i = 0; i < nb; ++i) {
     const StageBuffer& def = stage0.buffers[i];
     if (def.is_broadcast) {
-      continue;  // charged as resident bytes below
+      continue;  // charged below, with the interior stages' broadcasts
     }
     if (!st0.bufs[i].carried && def.is_input) {
       continue;  // fresh inputs already contributed their Info() width
@@ -509,18 +512,23 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
     }
     sum_bpe += bpe;
   }
-  std::int64_t sum_bpe_max = sum_bpe;
+  std::int64_t sum_bpe_max = 0;
+  std::int64_t resident_max = 0;
   for (int d = 0; d < D; ++d) {
     const Stage& stage = *region[static_cast<std::size_t>(d)];
     Scratch::StageExec& st = sc.stages[static_cast<std::size_t>(d)];
     std::int64_t resident = 0;
-    std::int64_t interior_bpe = 0;
+    std::int64_t stage_bpe = d == 0 ? sum_bpe : 0;
     for (std::size_t i = 0; i < stage.buffers.size(); ++i) {
       const StageBuffer& def = stage.buffers[i];
       if (def.is_broadcast) {
         if (auto info = registry_->ProbeRuntimeInfo(st.bufs[i].full);
             info.has_value() && info->bytes_per_element > 0 && info->total_elements > 0) {
-          resident += info->total_elements * info->bytes_per_element;
+          if (def.is_halo && info->total_elements == total) {
+            stage_bpe += info->bytes_per_element;
+          } else {
+            resident += info->total_elements * info->bytes_per_element;
+          }
         }
         continue;
       }
@@ -529,17 +537,15 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
         // buffers fall back to the planner's splitter-declared width.
         if (st.bufs[i].splitter != nullptr && !st.bufs[i].carried &&
             st.bufs[i].info.bytes_per_element > 0) {
-          interior_bpe += st.bufs[i].info.bytes_per_element;
+          stage_bpe += st.bufs[i].info.bytes_per_element;
         } else {
-          interior_bpe += def.elem_bytes_hint;
+          stage_bpe += def.elem_bytes_hint;
         }
       }
     }
-    if (d > 0) {
-      // One batch walks the region depth by depth, so the live working
-      // set is the widest stage's, not the sum of all stages'.
-      sum_bpe_max = std::max(sum_bpe_max, interior_bpe);
-    }
+    // One batch walks the region depth by depth, so the live working set is
+    // the widest stage's, not the sum of all stages'.
+    sum_bpe_max = std::max(sum_bpe_max, stage_bpe);
     resident_max = std::max(resident_max, resident);
   }
 
@@ -964,7 +970,7 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
                   << " resident=" << resident_max << ")";
   }
   if (collect && sum_bpe_max > 0 && granularity > 0) {
-    EvalStats::MaxInto(stats_->footprint_bytes_max, granularity * sum_bpe_max);
+    EvalStats::MaxInto(stats_->footprint_bytes_max, granularity * sum_bpe_max + resident_max);
   }
 
   std::atomic<std::int64_t> cursor{0};       // dynamic mode: next unclaimed batch

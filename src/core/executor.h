@@ -102,6 +102,7 @@ class Executor {
   // budget consumed by values that sit resident for the whole stage
   // regardless of the batch size — broadcast ("_") operands such as a hash
   // join's build side — and is subtracted from the budget before dividing.
+  // Halo operands (mz::Halo()) count in the per-element sum instead.
   std::int64_t HeuristicBatchElems(std::int64_t sum_bytes_per_element,
                                    std::int64_t resident_bytes = 0) const;
 

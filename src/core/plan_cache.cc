@@ -23,7 +23,9 @@ namespace {
 // planner's footprint hints fall back to the probed width for
 // schema-dependent streams, so equal keys must imply equal hints), and
 // plans gained the pipeline-region annotation.
-constexpr std::uint64_t kFormatVersion = 3;
+// v4: every argument's split-expression kind is hashed (a halo and a "_"
+// plan identically but size batches differently).
+constexpr std::uint64_t kFormatVersion = 4;
 // Marker hashed in place of ctor parameters when the constructor defers
 // (nullopt: a parameter depends on a still-pending value).
 constexpr std::uint64_t kDeferredCtor = 0x9e3779b97f4a7c15ull;
@@ -161,6 +163,7 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
       }
     };
     for (const ArgSpec& arg : node.ann->args()) {
+      sink.Put(static_cast<std::uint64_t>(arg.expr.kind));
       put_ctor(arg.expr);
     }
     if (has_ret) {

@@ -267,14 +267,19 @@ Plan Planner::Build(int first_node, int end_node) {
     }
   };
 
-  auto add_broadcast_buffer = [&](Stage& stage, std::unordered_map<SlotId, int>& map, SlotId s) {
+  auto add_broadcast_buffer = [&](Stage& stage, std::unordered_map<SlotId, int>& map, SlotId s,
+                                  bool halo) {
     auto it = map.find(s);
     if (it != map.end()) {
+      // One plain "_" reference makes the shared buffer resident.
+      StageBuffer& buf = stage.buffers[static_cast<std::size_t>(it->second)];
+      buf.is_halo = buf.is_halo && halo;
       return it->second;
     }
     StageBuffer buf;
     buf.slot = s;
     buf.is_broadcast = true;
+    buf.is_halo = halo;
     stage.buffers.push_back(std::move(buf));
     int idx = static_cast<int>(stage.buffers.size()) - 1;
     map.emplace(s, idx);
@@ -334,7 +339,7 @@ Plan Planner::Build(int first_node, int end_node) {
       pf.node_index = n;
       std::unordered_map<SlotId, int> serial_bufs;
       for (SlotId s : node.args) {
-        pf.args.push_back({add_broadcast_buffer(stage, serial_bufs, s)});
+        pf.args.push_back({add_broadcast_buffer(stage, serial_bufs, s, /*halo=*/false)});
       }
       if (node.ret != kInvalidSlot) {
         StageBuffer buf;
@@ -414,7 +419,8 @@ Plan Planner::Build(int first_node, int end_node) {
       int c = arg_cls[i];
       int buf_idx;
       if (c < 0) {
-        buf_idx = add_broadcast_buffer(cur, broadcast_buf, s);
+        buf_idx = add_broadcast_buffer(cur, broadcast_buf, s,
+                                       ann.args()[i].expr.kind == SplitExpr::Kind::kHalo);
       } else {
         auto it = split_buf.find(s);
         if (it != split_buf.end()) {

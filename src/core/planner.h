@@ -48,6 +48,10 @@ struct PlannedFunc {
 struct StageBuffer {
   SlotId slot = kInvalidSlot;
   bool is_broadcast = false;  // full value copied into every pipeline
+  // A broadcast every reference of which is a halo (mz::Halo()): read whole
+  // like "_", but a batch touches only the rows around its band, so the
+  // footprint model charges it per element instead of as resident bytes.
+  bool is_halo = false;
   bool is_input = false;      // split at stage entry
   bool is_output = false;     // merged at stage exit back into the slot
 

@@ -57,8 +57,9 @@ class EvalStats {
     // pieces were re-cut to the consumer's granularity, boundary merges
     // parked on slots for lazy merge-on-get, the longest chain of
     // consecutive carried boundaries one stream travelled, and the largest
-    // per-batch working set (batch × Σ bytes-per-element) any stage ran
-    // with. The last two aggregate by max, not sum.
+    // per-batch working set (batch × Σ bytes-per-element + resident
+    // broadcast bytes) any stage ran with. The last two aggregate by max,
+    // not sum.
     std::int64_t stages_rebatched = 0;
     std::int64_t deferred_merges = 0;
     std::int64_t carry_chain_len_max = 0;

@@ -340,12 +340,14 @@ const mz::Annotated<void(const Matrix*, const double*, double*)> Gemv(
 // Stencil data movement. RollCols reads only row r to write row r, so both
 // matrices split into row bands. The explicit MatrixSplit (not a generic)
 // keeps an upstream column split from unifying with it: rolling columns
-// needs whole rows. RollRows reads neighbouring rows, so its source is
-// broadcast whole ("_") while the output splits into row bands; the
+// needs whole rows. RollRows reads neighbouring rows, so its source is a
+// halo: passed whole to every batch like "_", but a band reads only the
+// band's rows shifted, so the footprint model charges the source per row
+// instead of as resident bytes. The output splits into row bands; the
 // library finds each band's global rows from the view's row_offset().
 const mz::Annotated<void(const Matrix*, long, Matrix*)> RollRows(
     matrix::RollRows, mz::AnnotationBuilder("mat.RollRows")
-                          .Arg("a", mz::NoSplit())
+                          .Arg("a", mz::Halo())
                           .Arg("shift", mz::NoSplit())
                           .MutArg("out", mz::Split("MatrixSplit", {"out"}))
                           .Build());

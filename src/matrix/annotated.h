@@ -12,8 +12,9 @@
 //    std::vector<double> partials, merged by concatenation (axis=1, disjoint
 //    row ranges) or elementwise addition (axis=0, partial column sums).
 //  * Rolls (the Shallow Water stencil, §8.2) split by output row bands:
-//    RollRows broadcasts its source ("_") and writes row-band views of its
-//    output, found by their global row offsets; RollCols reads only row r
+//    RollRows reads its whole source as a halo (mz::Halo(): broadcast like
+//    "_", charged per row) and writes row-band views of its output, found
+//    by their global row offsets; RollCols reads only row r
 //    for row r, so it row-splits both sides. A Shallow Water step plans as
 //    one pipelined stage.
 #ifndef MOZART_MATRIX_ANNOTATED_H_

@@ -94,6 +94,19 @@ TEST(AnnotationTest, AllMissingIsSerial) {
   EXPECT_TRUE(ann.IsSerial());
 }
 
+TEST(AnnotationTest, HaloIsAnUnsplitArgumentOnly) {
+  // A halo splits nothing: with no split argument beside it the call is
+  // serial, like "_".
+  EXPECT_TRUE(AnnotationBuilder("f").Arg("a", Halo()).Arg("n", NoSplit()).Build().IsSerial());
+  Annotation ann = AnnotationBuilder("roll")
+                       .Arg("a", Halo())
+                       .MutArg("out", Split("ArraySplit", {}))
+                       .Build();
+  EXPECT_FALSE(ann.IsSerial());
+  EXPECT_EQ(ann.args()[0].expr.kind, SplitExpr::Kind::kHalo);
+  EXPECT_THROW(AnnotationBuilder("f").Arg("a", Generic("S")).Returns(Halo()), Error);
+}
+
 TEST(AnnotationTest, DoubleReturnsThrows) {
   AnnotationBuilder b("f");
   b.Arg("a", Generic("S"));

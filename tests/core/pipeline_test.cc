@@ -354,6 +354,19 @@ TEST(BroadcastFootprint, WideBroadcastOperandShrinksTheBatch) {
   EXPECT_GT(batches_big, batches_small);
 }
 
+TEST(BroadcastFootprint, GaugeCountsResidentBroadcastBytes) {
+  // The footprint gauge reports the largest per-batch working set: the
+  // batch's per-element bytes plus the broadcast bytes every batch holds.
+  const long n = 64;
+  const long big_rows = 2 * static_cast<long>(L2CacheBytes()) / 8;
+  df::Column a = MakeColumn(n);
+  df::Column big = MakeColumn(big_rows);
+  Runtime rt(Opts(/*threads=*/2));
+  RuntimeScope scope(&rt);
+  EXPECT_EQ(AddHead()(a, big).get().size(), n);
+  EXPECT_GE(rt.stats().Take().footprint_bytes_max, big_rows * 8);
+}
+
 // ---- splitter width hooks (exact widths, not element_width constants) ----
 
 TEST(SplitterWidth, SeriesAndFrameReportParamWidths) {

@@ -339,6 +339,7 @@ void ExpectPlansIdentical(const Plan& a, const Plan& b) {
       const StageBuffer& bb = sb.buffers[i];
       EXPECT_EQ(ba.slot, bb.slot) << "stage " << s << " buffer " << i;
       EXPECT_EQ(ba.is_broadcast, bb.is_broadcast);
+      EXPECT_EQ(ba.is_halo, bb.is_halo);
       EXPECT_EQ(ba.is_input, bb.is_input);
       EXPECT_EQ(ba.is_output, bb.is_output);
       EXPECT_EQ(ba.use_default_split, bb.use_default_split);
@@ -499,6 +500,48 @@ TEST_F(PlanCacheRuntimeTest, WarmHitReproducesElisionBitIdentical) {
     EXPECT_EQ(s.boundaries_elided, cold_elided)
         << "warm instantiation elided different boundaries than cold planning";
   }
+}
+
+// out[i] = a[i] + src[0]. The two functions below differ only in how
+// `src` is annotated: a halo and a "_" plan the same stages but size their
+// batches differently, so one call graph annotated each way must not share
+// a cached plan.
+df::Column AddFirstOf(const df::Column& a, const df::Column& src) {
+  std::vector<double> out(static_cast<std::size_t>(a.size()));
+  for (long i = 0; i < a.size(); ++i) {
+    out[static_cast<std::size_t>(i)] = a.d(i) + src.d(0);
+  }
+  return df::Column::Doubles(std::move(out));
+}
+
+TEST_F(PlanCacheRuntimeTest, HaloAndBroadcastAnnotationsDoNotSharePlans) {
+  static const Annotated<df::Column(const df::Column&, const df::Column&)> bcast(
+      AddFirstOf, AnnotationBuilder("plan_cache_test.add_first_bcast")
+                      .Arg("a", Generic("S"))
+                      .Arg("src", NoSplit())
+                      .Returns(Generic("S"))
+                      .Build());
+  static const Annotated<df::Column(const df::Column&, const df::Column&)> halo(
+      AddFirstOf, AnnotationBuilder("plan_cache_test.add_first_halo")
+                      .Arg("a", Generic("S"))
+                      .Arg("src", Halo())
+                      .Returns(Generic("S"))
+                      .Build());
+  const long n = 3000;
+  df::Column a = df::Column::Doubles(Iota(n, 1.0));
+  df::Column src = df::Column::Doubles(Iota(n, 10.0));
+
+  PlanCache cache;
+  Runtime rt(MakeOptions(&cache));
+  RuntimeScope scope(&rt);
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_DOUBLE_EQ(bcast(a, src).get().d(7), 18.0);
+    EXPECT_DOUBLE_EQ(halo(a, src).get().d(7), 18.0);
+  }
+  EvalStats::Snapshot s = rt.stats().Take();
+  EXPECT_EQ(s.plans_built, 2) << "the halo graph reused the broadcast graph's plan";
+  EXPECT_EQ(s.plan_cache_hits, 2);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 TEST_F(PlanCacheRuntimeTest, NoCacheConfiguredAlwaysPlans) {

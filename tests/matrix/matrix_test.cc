@@ -596,16 +596,20 @@ struct StencilState {
 struct StencilCase {
   std::int64_t batch;  // 0 = L2 heuristic
   int threads;
+  long n = 96;  // grid side
 };
 
 void PrintTo(const StencilCase& c, std::ostream* os) {
-  *os << "batch " << c.batch << ", " << c.threads << " thread(s)";
+  *os << "batch " << c.batch << ", " << c.threads << " thread(s), n " << c.n;
 }
 
 class StencilDifferential : public ::testing::TestWithParam<StencilCase> {};
 
 TEST_P(StencilDifferential, ShallowWaterMatchesEagerByteForByte) {
-  const long n = 96;  // not a multiple of the 37-row batch
+  // 96 is not a multiple of the 37-row batch; at 640 (fig4d's grid) each
+  // rolled source overflows L2, so only the halo charge keeps the heuristic
+  // batch above one row.
+  const long n = GetParam().n;
   const int steps = 3;
   StencilState want(n);
   want.Steps<Eager>(steps);
@@ -633,11 +637,64 @@ TEST_P(StencilDifferential, ShallowWaterMatchesEagerByteForByte) {
 INSTANTIATE_TEST_SUITE_P(BatchThreads, StencilDifferential,
                          ::testing::Values(StencilCase{1, 1}, StencilCase{37, 1},
                                            StencilCase{0, 1}, StencilCase{1, 4},
-                                           StencilCase{37, 4}, StencilCase{0, 4}),
+                                           StencilCase{37, 4}, StencilCase{0, 4},
+                                           StencilCase{0, 1, 640}, StencilCase{0, 4, 640}),
                          [](const ::testing::TestParamInfo<StencilCase>& param_info) {
-                           return "b" + std::to_string(param_info.param.batch) + "_t" +
-                                  std::to_string(param_info.param.threads);
+                           const StencilCase& c = param_info.param;
+                           return "b" + std::to_string(c.batch) + "_t" +
+                                  std::to_string(c.threads) +
+                                  (c.n == 96 ? "" : "_n" + std::to_string(c.n));
                          });
+
+// RollRows reads its source as a halo: every batch gets the whole source,
+// but it is charged per row, so a stencil stage over sources far larger
+// than L2 still runs L2-sized batches. The same call annotated with a real
+// "_" source charges it as resident bytes and floors the batch at one row.
+const mz::Annotated<void(const Matrix*, long, Matrix*)>& RollRowsBroadcast() {
+  static const mz::Annotated<void(const Matrix*, long, Matrix*)> fn(
+      matrix::RollRows, mz::AnnotationBuilder("matrix_test.RollRowsBroadcast")
+                            .Arg("a", mz::NoSplit())
+                            .Arg("shift", mz::NoSplit())
+                            .MutArg("out", mz::Split("MatrixSplit", {"out"}))
+                            .Build());
+  return fn;
+}
+
+TEST(HaloFootprint, RollRowsSourceChargesPerRow) {
+  const long n = 1024;
+  Matrix a = Filled(n, n);
+  Matrix want_ra(n, n);
+  Matrix want_rb(n, n);
+  Matrix want(n, n);
+  matrix::RollRows(&a, 1, &want_ra);
+  matrix::RollRows(&a, -1, &want_rb);
+  matrix::Sub(&want_ra, &want_rb, &want);
+
+  for (bool halo : {true, false}) {
+    Matrix ra(n, n);
+    Matrix rb(n, n);
+    Matrix d(n, n);
+    mz::Runtime rt(TestOptions(/*threads=*/2));
+    mz::RuntimeScope scope(&rt);
+    const auto& roll = halo ? mzmat::RollRows : RollRowsBroadcast();
+    roll(&a, 1, &ra);
+    roll(&a, -1, &rb);
+    mzmat::Sub(&ra, &rb, &d);
+    rt.Evaluate();
+    mz::EvalStats::Snapshot s = rt.stats().Take();
+    EXPECT_EQ(s.stages, 1);
+    if (halo) {
+      // Four row-wide buffers (the source, ra, rb, d) at 8 KiB a row fit at
+      // least 8 rows even in the 256 KiB L2 the heuristic falls back to.
+      EXPECT_LE(s.batches, n / 8);
+    } else {
+      EXPECT_GE(s.batches, n);  // one-row batches
+    }
+    for (long r = 0; r < n; ++r) {
+      ASSERT_TRUE(SameBytes(d.row(r), want.row(r), n)) << "row " << r << (halo ? " halo" : "");
+    }
+  }
+}
 
 // Parameterized: elementwise chains across thread counts and shapes.
 struct MatrixSweep {
