@@ -4,9 +4,10 @@
 // Each kernel runs over the same 2 Mi-row inputs twice: once as consecutive
 // 16 Ki-row slices (the size Mozart's batches take, so inputs stay in cache)
 // and once over the whole input. The floor copies the bytes the kernel reads
-// per row (8 per numeric value, one std::string header per string) with
-// memcpy, cut the same way. A kernel far above its floor does per-row work
-// beyond moving its data; that is where a library fix can pay.
+// per row (8 per numeric value; per string, its 8-byte offset plus the
+// column's mean payload length) with memcpy, cut the same way. A kernel far
+// above its floor does per-row work beyond moving its data; that is where a
+// library fix can pay.
 //
 // Emits MOZART_BENCH_JSON rows (bench "df_kernels", workload = kernel,
 // config = "batch16k" or "whole"): ns_per_row, memcpy_ns_per_row, x_floor.
@@ -27,12 +28,21 @@ using df::Column;
 using df::DataFrame;
 
 constexpr long kBatchRows = 16 * 1024;
-constexpr long kStringBytes = static_cast<long>(sizeof(std::string));
 
 long g_sink = 0;
 void Sink(const Column& c) { g_sink += c.size(); }
 void Sink(const DataFrame& f) { g_sink += f.num_rows(); }
 void Sink(double x) { g_sink += x > 0 ? 1 : 0; }
+
+// Bytes a kernel reads per row of string column c: one offset plus the mean
+// payload.
+long StringBytes(const Column& c) {
+  long payload = 0;
+  for (long r = 0; r < c.size(); ++r) {
+    payload += static_cast<long>(c.str(r).size());
+  }
+  return 8 + (c.empty() ? 0 : (payload + c.size() / 2) / c.size());
+}
 
 struct Kernel {
   const char* name;
@@ -68,6 +78,8 @@ int main() {
   const Column lesl = df::StrStartsWith(names, "Lesl");
   const Column big = df::ColGtC(births, 1000.0);
   const DataFrame partials = babies.Select(std::vector<int>{1, 2, 3});
+  const long name_bytes = StringBytes(names);
+  const long zip_bytes = StringBytes(zips);
   std::vector<long> selection;
   for (long r = 0; r < rows; ++r) {
     if (lesl.i64(r) != 0) {
@@ -76,6 +88,21 @@ int main() {
   }
 
   auto col = [](const Column& c, long r0, long r1) { return c.Slice(r0, r1); };
+  // The selected rows in [a, b), relative to a.
+  auto selected = [&](long a, long b) {
+    auto lo = std::lower_bound(selection.begin(), selection.end(), a);
+    auto hi = std::lower_bound(lo, selection.end(), b);
+    std::vector<long> rel(lo, hi);
+    for (long& r : rel) {
+      r -= a;
+    }
+    return rel;
+  };
+  auto halves = [&](const Column& c, long a, long b) {
+    long mid = a + (b - a) / 2;
+    std::vector<Column> parts = {col(c, a, mid), col(c, mid, b)};
+    return Column::Concat(parts);
+  };
   const std::vector<Kernel> kernels = {
       {"ColAdd", 16, [&](long a, long b) { Sink(df::ColAdd(col(births, a, b), col(other, a, b))); }},
       {"ColSub", 16, [&](long a, long b) { Sink(df::ColSub(col(births, a, b), col(other, a, b))); }},
@@ -95,18 +122,18 @@ int main() {
       {"ColFillNaN", 8, [&](long a, long b) { Sink(df::ColFillNaN(col(births, a, b), 0.0)); }},
       {"ColWhere", 16,
        [&](long a, long b) { Sink(df::ColWhere(col(big, a, b), col(births, a, b), 0.0)); }},
-      {"StrStartsWith", kStringBytes,
+      {"StrStartsWith", name_bytes,
        [&](long a, long b) { Sink(df::StrStartsWith(col(names, a, b), "Lesl")); }},
-      {"StrContains", kStringBytes,
+      {"StrContains", name_bytes,
        [&](long a, long b) { Sink(df::StrContains(col(names, a, b), "sl")); }},
-      {"StrSlice", kStringBytes, [&](long a, long b) { Sink(df::StrSlice(col(names, a, b), 0, 3)); }},
-      {"StrRemoveChar", kStringBytes,
+      {"StrSlice", name_bytes, [&](long a, long b) { Sink(df::StrSlice(col(names, a, b), 0, 3)); }},
+      {"StrRemoveChar", name_bytes,
        [&](long a, long b) { Sink(df::StrRemoveChar(col(names, a, b), 'e')); }},
-      {"StrIsNumeric", kStringBytes, [&](long a, long b) { Sink(df::StrIsNumeric(col(zips, a, b))); }},
-      {"StrLen", kStringBytes, [&](long a, long b) { Sink(df::StrLen(col(names, a, b))); }},
-      {"StrWhere", 8 + kStringBytes,
+      {"StrIsNumeric", zip_bytes, [&](long a, long b) { Sink(df::StrIsNumeric(col(zips, a, b))); }},
+      {"StrLen", 8, [&](long a, long b) { Sink(df::StrLen(col(names, a, b))); }},
+      {"StrWhere", 8 + name_bytes,
        [&](long a, long b) { Sink(df::StrWhere(col(lesl, a, b), col(names, a, b), "x")); }},
-      {"StrToDouble", kStringBytes, [&](long a, long b) { Sink(df::StrToDouble(col(zips, a, b))); }},
+      {"StrToDouble", zip_bytes, [&](long a, long b) { Sink(df::StrToDouble(col(zips, a, b))); }},
       {"IntToDouble", 8,
        [&](long a, long b) { Sink(df::IntToDouble(col(babies.col("year"), a, b))); }},
       {"ColSum", 8, [&](long a, long b) { Sink(df::ColSum(col(births, a, b))); }},
@@ -116,23 +143,12 @@ int main() {
       {"ColFromFrame", 8, [&](long a, long b) { Sink(df::ColFromFrame(babies.Slice(a, b), 3)); }},
       {"WithColumn", 8,
        [&](long a, long b) { Sink(df::WithColumn(babies.Slice(a, b), "x", col(births, a, b))); }},
-      {"Take", 8,
-       [&](long a, long b) {
-         auto lo = std::lower_bound(selection.begin(), selection.end(), a);
-         auto hi = std::lower_bound(lo, selection.end(), b);
-         std::vector<long> rel(lo, hi);
-         for (long& r : rel) {
-           r -= a;
-         }
-         Sink(col(births, a, b).Take(rel));
-       }},
-      {"Concat", 8,
-       [&](long a, long b) {
-         long mid = a + (b - a) / 2;
-         std::vector<Column> parts = {col(births, a, mid), col(births, mid, b)};
-         Sink(Column::Concat(parts));
-       }},
-      {"FilterRows", kStringBytes + 32,
+      {"Take", 8, [&](long a, long b) { Sink(col(births, a, b).Take(selected(a, b))); }},
+      {"TakeStr", name_bytes,
+       [&](long a, long b) { Sink(col(names, a, b).Take(selected(a, b))); }},
+      {"Concat", 8, [&](long a, long b) { Sink(halves(births, a, b)); }},
+      {"ConcatStr", name_bytes, [&](long a, long b) { Sink(halves(names, a, b)); }},
+      {"FilterRows", name_bytes + 32,
        [&](long a, long b) { Sink(df::FilterRows(babies.Slice(a, b), col(lesl, a, b))); }},
       {"GroupByAgg", 24,
        [&](long a, long b) { Sink(df::GroupByAgg(babies.Slice(a, b), 1, 2, 3, df::kAggSum)); }},

@@ -174,7 +174,7 @@ double CrimeIndexFused(const df::DataFrame& cities, int threads) {
 
 void DataCleaningFused(const df::DataFrame& requests, double* nan_count, double* valid_sum,
                        int threads) {
-  auto zips = requests.col("incident_zip").strings();
+  const df::StringRows zips(requests.col("incident_zip"));
   long n = requests.num_rows();
   std::vector<double> nans(static_cast<std::size_t>(std::max(threads, 1)), 0.0);
   std::vector<double> sums(static_cast<std::size_t>(std::max(threads, 1)), 0.0);
@@ -183,7 +183,7 @@ void DataCleaningFused(const df::DataFrame& requests, double* nan_count, double*
     double local_sum = 0;
     std::string cleaned;
     for (long i = lo; i < hi; ++i) {
-      const std::string& zip = zips[static_cast<std::size_t>(i)];
+      std::string_view zip = zips[i];
       cleaned.clear();
       for (char c : zip) {
         if (c != '-') {
@@ -214,7 +214,7 @@ void DataCleaningFused(const df::DataFrame& requests, double* nan_count, double*
 }
 
 df::DataFrame BirthAnalysisFused(const df::DataFrame& births, int threads) {
-  auto names = births.col("name").strings();
+  const df::StringRows names(births.col("name"));
   auto years = births.col("year").ints();
   auto genders = births.col("gender").ints();
   auto counts = births.col("births").doubles();
@@ -231,7 +231,7 @@ df::DataFrame BirthAnalysisFused(const df::DataFrame& births, int threads) {
   ParallelRange(n, threads, [&](long lo, long hi, int t) {
     auto& map = maps[static_cast<std::size_t>(t)];
     for (long i = lo; i < hi; ++i) {
-      if (names[static_cast<std::size_t>(i)].starts_with("Lesl")) {
+      if (names[i].starts_with("Lesl")) {
         map[{years[static_cast<std::size_t>(i)], genders[static_cast<std::size_t>(i)]}] +=
             counts[static_cast<std::size_t>(i)];
       }

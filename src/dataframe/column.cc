@@ -1,5 +1,7 @@
 #include "dataframe/column.h"
 
+#include <cstring>
+
 #include "common/check.h"
 
 namespace df {
@@ -21,10 +23,23 @@ Column Column::Ints(std::vector<std::int64_t> values) {
 }
 
 Column Column::Strings(std::vector<std::string> values) {
+  long bytes = 0;
+  for (const std::string& v : values) {
+    bytes += static_cast<long>(v.size());
+  }
+  StringColumnBuilder b;
+  b.Reserve(static_cast<long>(values.size()), bytes);
+  for (const std::string& v : values) {
+    b.Append(v);
+  }
+  return b.Finish();
+}
+
+Column Column::FromStrings(StringData data) {
   Column c;
   c.type_ = ColType::kString;
-  c.len_ = static_cast<long>(values.size());
-  c.s_ = std::make_shared<const std::vector<std::string>>(std::move(values));
+  c.len_ = static_cast<long>(data.offsets.size()) - 1;
+  c.s_ = std::make_shared<const StringData>(std::move(data));
   return c;
 }
 
@@ -38,9 +53,14 @@ std::span<const std::int64_t> Column::ints() const {
   return {i_->data() + offset_, static_cast<std::size_t>(len_)};
 }
 
-std::span<const std::string> Column::strings() const {
+std::span<const std::int64_t> Column::string_offsets() const {
   MZ_CHECK_MSG(is_string(), "column is not string-typed");
-  return {s_->data() + offset_, static_cast<std::size_t>(len_)};
+  return {s_->offsets.data() + offset_, static_cast<std::size_t>(len_ + 1)};
+}
+
+const char* Column::string_bytes() const {
+  MZ_CHECK_MSG(is_string(), "column is not string-typed");
+  return s_->bytes.data();
 }
 
 Column Column::Slice(long r0, long r1) const {
@@ -70,8 +90,23 @@ Column Column::Take(std::span<const long> rows) const {
       return Doubles(Gather(doubles(), rows));
     case ColType::kInt64:
       return Ints(Gather(ints(), rows));
-    case ColType::kString:
-      return Strings(Gather(strings(), rows));
+    case ColType::kString: {
+      // Gather the lengths into offsets, then copy each payload.
+      const std::int64_t* in = string_offsets().data();
+      StringData out;
+      out.offsets.resize(rows.size() + 1);
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        out.offsets[k + 1] = out.offsets[k] + (in[rows[k] + 1] - in[rows[k]]);
+      }
+      out.bytes.resize(static_cast<std::size_t>(out.offsets.back() + kStringPadding));
+      const char* src = string_bytes();
+      char* dst = out.bytes.data();
+      for (std::size_t k = 0; k < rows.size(); ++k) {
+        std::memcpy(dst + out.offsets[k], src + in[rows[k]],
+                    static_cast<std::size_t>(out.offsets[k + 1] - out.offsets[k]));
+      }
+      return FromStrings(std::move(out));
+    }
   }
   MZ_THROW("unreachable column type");
 }
@@ -104,16 +139,43 @@ Column Column::Concat(std::span<const Column> parts) {
       return Ints(std::move(out));
     }
     case ColType::kString: {
-      std::vector<std::string> out;
-      out.reserve(static_cast<std::size_t>(total));
+      // Copy each part's byte range and rebase its offsets onto the output.
+      std::int64_t payload = 0;
       for (const Column& p : parts) {
-        auto s = p.strings();
-        out.insert(out.end(), s.begin(), s.end());
+        auto o = p.string_offsets();
+        payload += o.back() - o.front();
       }
-      return Strings(std::move(out));
+      StringData out;
+      out.offsets.resize(static_cast<std::size_t>(total) + 1);
+      out.bytes.resize(static_cast<std::size_t>(payload + kStringPadding));
+      std::int64_t* offsets = out.offsets.data() + 1;
+      std::int64_t base = 0;
+      for (const Column& p : parts) {
+        auto o = p.string_offsets();
+        std::memcpy(out.bytes.data() + base, p.string_bytes() + o.front(),
+                    static_cast<std::size_t>(o.back() - o.front()));
+        for (std::size_t i = 1; i < o.size(); ++i) {
+          *offsets++ = o[i] - o.front() + base;
+        }
+        base += o.back() - o.front();
+      }
+      return FromStrings(std::move(out));
     }
   }
   MZ_THROW("unreachable column type");
+}
+
+void StringColumnBuilder::Reserve(long rows, long bytes) {
+  offsets_.reserve(offsets_.size() + static_cast<std::size_t>(rows));
+  bytes_.reserve(bytes_.size() + static_cast<std::size_t>(bytes + kStringPadding));
+}
+
+Column StringColumnBuilder::Finish() {
+  bytes_.resize(bytes_.size() + kStringPadding);
+  Column::StringData data{std::move(offsets_), std::move(bytes_)};
+  offsets_.assign(1, 0);
+  bytes_.clear();
+  return Column::FromStrings(std::move(data));
 }
 
 long Column::BytesPerRow() const {

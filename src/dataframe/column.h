@@ -6,6 +6,12 @@
 // makes row-range splitting (SeriesSplit / FrameSplit) nearly free, mirroring
 // how the paper's Pandas integration splits DataFrames by row.
 //
+// A string column is stored as Arrow and pandas 2 store one: an int64
+// offsets array with one more entry than rows, and one byte buffer holding
+// every row's bytes back to back; row i is bytes[offsets[i], offsets[i+1]).
+// A slice shares both. The byte buffer ends in kStringPadding zero bytes, so
+// a kernel may load 8 bytes at any row's start without leaving the buffer.
+//
 // Missing numeric data is NaN (Pandas convention); missing strings are "".
 #ifndef MOZART_DATAFRAME_COLUMN_H_
 #define MOZART_DATAFRAME_COLUMN_H_
@@ -14,11 +20,17 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace df {
 
 enum class ColType { kDouble, kInt64, kString };
+
+// Zero bytes after the last string in every string byte buffer.
+inline constexpr long kStringPadding = 8;
+
+class StringColumnBuilder;
 
 class Column {
  public:
@@ -39,11 +51,14 @@ class Column {
   // Element access (bounds unchecked in release; type checked).
   double d(long i) const { return doubles()[static_cast<std::size_t>(i)]; }
   std::int64_t i64(long i) const { return ints()[static_cast<std::size_t>(i)]; }
-  const std::string& str(long i) const { return strings()[static_cast<std::size_t>(i)]; }
+  std::string_view str(long i) const;
 
   std::span<const double> doubles() const;
   std::span<const std::int64_t> ints() const;
-  std::span<const std::string> strings() const;
+  // A string column's size() + 1 offsets into string_bytes(); a slice's
+  // first offset need not be 0.
+  std::span<const std::int64_t> string_offsets() const;
+  const char* string_bytes() const;
 
   // Zero-copy view over rows [r0, r1).
   Column Slice(long r0, long r1) const;
@@ -59,12 +74,60 @@ class Column {
   long BytesPerRow() const;
 
  private:
+  friend class StringColumnBuilder;
+
+  struct StringData {
+    std::vector<std::int64_t> offsets;
+    std::vector<char> bytes;  // payload, then kStringPadding zero bytes
+  };
+
+  static Column FromStrings(StringData data);
+
   ColType type_ = ColType::kDouble;
   std::shared_ptr<const std::vector<double>> d_;
   std::shared_ptr<const std::vector<std::int64_t>> i_;
-  std::shared_ptr<const std::vector<std::string>> s_;
+  std::shared_ptr<const StringData> s_;
   long offset_ = 0;
   long len_ = 0;
+};
+
+// Row access to a string column for kernel loops: the type is checked once,
+// at construction, and rows are not bounds-checked.
+class StringRows {
+ public:
+  explicit StringRows(const Column& c)
+      : offsets_(c.string_offsets().data()), bytes_(c.string_bytes()) {}
+
+  std::string_view operator[](long i) const {
+    return {bytes_ + offsets_[i], static_cast<std::size_t>(offsets_[i + 1] - offsets_[i])};
+  }
+
+ private:
+  const std::int64_t* offsets_;
+  const char* bytes_;
+};
+
+inline std::string_view Column::str(long i) const { return StringRows(*this)[i]; }
+
+// Builds a string column row by row: Append each row's bytes, then Finish.
+class StringColumnBuilder {
+ public:
+  StringColumnBuilder() { offsets_.push_back(0); }
+
+  // Capacity for `rows` more rows holding `bytes` more payload bytes.
+  void Reserve(long rows, long bytes);
+
+  void Append(std::string_view s) {
+    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    offsets_.push_back(static_cast<std::int64_t>(bytes_.size()));
+  }
+
+  // The finished column; the builder is left empty.
+  Column Finish();
+
+ private:
+  std::vector<std::int64_t> offsets_;
+  std::vector<char> bytes_;
 };
 
 }  // namespace df

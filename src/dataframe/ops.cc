@@ -2,9 +2,14 @@
 
 #include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <numeric>
+#include <type_traits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -44,24 +49,90 @@ Column MaskFromDouble(const Column& a, F pred) {
   return Column::Ints(std::move(out));
 }
 
+// f maps each row to a string_view that stays valid until the next call.
 template <typename F>
 Column MapString(const Column& a, F f) {
-  auto in = a.strings();
-  std::vector<std::string> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = f(in[i]);
+  auto o = a.string_offsets();
+  const StringRows in(a);
+  StringColumnBuilder out;
+  out.Reserve(a.size(), static_cast<long>(o.back() - o.front()));
+  for (long i = 0; i < a.size(); ++i) {
+    out.Append(f(in[i]));
   }
-  return Column::Strings(std::move(out));
+  return out.Finish();
 }
 
 template <typename F>
 Column MaskFromString(const Column& a, F pred) {
-  auto in = a.strings();
-  std::vector<std::int64_t> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = pred(in[i]) ? 1 : 0;
+  const StringRows in(a);
+  std::vector<std::int64_t> out(static_cast<std::size_t>(a.size()));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = pred(in[static_cast<long>(i)]) ? 1 : 0;
   }
   return Column::Ints(std::move(out));
+}
+
+std::uint64_t Load8(const char* p) {
+  std::uint64_t w;
+  std::memcpy(&w, p, sizeof(w));
+  return w;
+}
+
+// Selects a loaded word's first `width` bytes in memory order.
+constexpr std::uint64_t FirstBytesMask(int width) {
+  if (width >= 8) {
+    return ~std::uint64_t{0};
+  }
+  return std::endian::native == std::endian::little
+             ? (std::uint64_t{1} << (8 * width)) - 1
+             : ~std::uint64_t{0} << (64 - 8 * width);
+}
+
+// A pattern of at most 8 bytes as a word, zero past its end; a masked Load8
+// of matching bytes compares equal to it.
+std::uint64_t PatternWord(const std::string& pattern) {
+  char buf[8] = {};
+  std::memcpy(buf, pattern.data(), std::min<std::size_t>(pattern.size(), 8));
+  return Load8(buf);
+}
+
+// fixed(std::integral_constant<int, W>()) for a pattern of W = 1..8 bytes,
+// other() for any other length.
+template <typename Fixed, typename Other>
+Column ByPatternWidth(std::size_t width, Fixed fixed, Other other) {
+  switch (width) {
+    case 1: return fixed(std::integral_constant<int, 1>());
+    case 2: return fixed(std::integral_constant<int, 2>());
+    case 3: return fixed(std::integral_constant<int, 3>());
+    case 4: return fixed(std::integral_constant<int, 4>());
+    case 5: return fixed(std::integral_constant<int, 5>());
+    case 6: return fixed(std::integral_constant<int, 6>());
+    case 7: return fixed(std::integral_constant<int, 7>());
+    case 8: return fixed(std::integral_constant<int, 8>());
+    default: return other();
+  }
+}
+
+// std::stod's value without its exceptions: strtod over a NUL-terminated
+// copy, and NaN wherever stod would throw (nothing converted, or errno set
+// to ERANGE, underflow included) or stop before the end.
+double ParseDouble(std::string_view s, std::string& scratch) {
+  char small[64];
+  const char* z = small;
+  if (s.size() < sizeof(small)) {
+    std::memcpy(small, s.data(), s.size());
+    small[s.size()] = '\0';
+  } else {
+    scratch.assign(s);
+    z = scratch.c_str();
+  }
+  const int saved_errno = errno;
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(z, &end);
+  const bool ok = end != z && errno != ERANGE && end == z + s.size();
+  errno = saved_errno;
+  return ok ? v : std::nan("");
 }
 
 // Folds a key's four member hashes into one hash code.
@@ -74,16 +145,18 @@ std::size_t FoldKeyHash(std::int64_t a, std::int64_t b, std::size_t hsa, std::si
 }
 
 std::size_t EmptyStringHash() {
-  static const std::size_t h = std::hash<std::string>()("");
+  static const std::size_t h = std::hash<std::string_view>()("");
   return h;
 }
 
 // Group keys as strings are hashed by value; numeric keys by bit pattern.
+// String members view the key column's bytes, which outlive the key. A
+// string_view hashes as the std::string with the same bytes.
 struct GroupKey {
   std::int64_t a = 0;
   std::int64_t b = 0;
-  std::string sa;
-  std::string sb;
+  std::string_view sa;
+  std::string_view sb;
 
   bool operator==(const GroupKey&) const = default;
 };
@@ -100,7 +173,8 @@ struct NumKey {
 
 struct KeyHash {
   std::size_t operator()(const GroupKey& k) const {
-    return FoldKeyHash(k.a, k.b, std::hash<std::string>()(k.sa), std::hash<std::string>()(k.sb));
+    return FoldKeyHash(k.a, k.b, std::hash<std::string_view>()(k.sa),
+                       std::hash<std::string_view>()(k.sb));
   }
   std::size_t operator()(const NumKey& k) const {
     return FoldKeyHash(k.a, k.b, EmptyStringHash(), EmptyStringHash());
@@ -172,6 +246,81 @@ auto WithKeys(const Column& c0, const Column* c1, Body body) {
   NumKeyReader r0(&c0);
   NumKeyReader r1(c1);
   return body([r0, r1](long row) { return NumKey{r0(row), r1(row)}; });
+}
+
+// The flat table's hash: KeyHash for string keys; numeric keys skip its
+// folds with the empty-string hash.
+inline std::size_t FlatHash(const GroupKey& k) { return KeyHash()(k); }
+inline std::size_t FlatHash(const NumKey& k) {
+  return static_cast<std::size_t>(k.a) * 0x9E3779B97F4A7C15ull ^ static_cast<std::size_t>(k.b);
+}
+
+// Groups keys in first-occurrence order through an open-addressing table.
+template <typename Key>
+class FlatGroups {
+ public:
+  // The group index of `key` and whether this call added the group.
+  std::pair<long, bool> Insert(const Key& key) {
+    if (4 * (keys_.size() + 1) > slots_.size()) {
+      Grow();
+    }
+    const std::size_t h = FlatHash(key);
+    for (std::size_t i = Slot(h);; i = (i + 1) & (slots_.size() - 1)) {
+      const long g = slots_[i];
+      if (g < 0) {
+        slots_[i] = static_cast<long>(keys_.size());
+        keys_.push_back(key);
+        hashes_.push_back(h);
+        return {slots_[i], true};
+      }
+      if (hashes_[static_cast<std::size_t>(g)] == h && keys_[static_cast<std::size_t>(g)] == key) {
+        return {g, false};
+      }
+    }
+  }
+
+  // The keys by group index.
+  const std::vector<Key>& keys() const { return keys_; }
+
+ private:
+  // Fibonacci hashing: the top bits of h times 2^64/phi.
+  std::size_t Slot(std::size_t h) const { return (h * 0x9E3779B97F4A7C15ull) >> shift_; }
+
+  void Grow() {
+    const std::size_t size = std::max<std::size_t>(16, 2 * slots_.size());
+    shift_ = 64 - std::countr_zero(size);
+    slots_.assign(size, -1);
+    for (std::size_t g = 0; g < keys_.size(); ++g) {
+      std::size_t i = Slot(hashes_[g]);
+      while (slots_[i] >= 0) {
+        i = (i + 1) & (size - 1);
+      }
+      slots_[i] = static_cast<long>(g);
+    }
+  }
+
+  std::vector<long> slots_;  // group index, or -1 when empty
+  std::vector<Key> keys_;
+  std::vector<std::size_t> hashes_;
+  int shift_ = 64;
+};
+
+// Group indexes in the order a std::unordered_map<Key, _, KeyHash> iterates
+// its keys when they are inserted in index order. libstdc++'s iteration
+// order depends only on the sequence of distinct insertions, so this is the
+// order a hash-map group-by inserting groups as they occur emits them in.
+template <typename Key>
+std::vector<long> HashMapOrder(const std::vector<Key>& keys) {
+  std::unordered_map<Key, long, KeyHash> map;
+  for (std::size_t g = 0; g < keys.size(); ++g) {
+    map.emplace(keys[g], static_cast<long>(g));
+  }
+  std::vector<long> order;
+  order.reserve(keys.size());
+  for (const auto& [key, g] : map) {
+    order.push_back(g);
+  }
+  return order;
 }
 
 // Reads a numeric aggregation value column as doubles.
@@ -296,38 +445,72 @@ Column ColWhere(const Column& mask, const Column& a, double otherwise) {
   return Column::Doubles(std::move(out));
 }
 
+// Patterns of 1-8 bytes compare one masked 8-byte load per position; the
+// byte buffer's padding keeps every load inside it.
 Column StrStartsWith(const Column& a, const std::string& prefix) {
-  return MaskFromString(a, [&](const std::string& s) { return s.starts_with(prefix); });
+  const std::uint64_t pat = PatternWord(prefix);
+  return ByPatternWidth(
+      prefix.size(),
+      [&](auto width) {
+        constexpr int kW = decltype(width)::value;
+        return MaskFromString(a, [pat](std::string_view s) {
+          return (s.size() >= kW) & ((Load8(s.data()) & FirstBytesMask(kW)) == pat);
+        });
+      },
+      [&] { return MaskFromString(a, [&](std::string_view s) { return s.starts_with(prefix); }); });
 }
 
 Column StrContains(const Column& a, const std::string& needle) {
-  return MaskFromString(a, [&](const std::string& s) { return s.find(needle) != std::string::npos; });
+  const std::uint64_t pat = PatternWord(needle);
+  return ByPatternWidth(
+      needle.size(),
+      [&](auto width) {
+        constexpr int kW = decltype(width)::value;
+        constexpr std::uint64_t kMask = FirstBytesMask(kW);
+        return MaskFromString(a, [pat](std::string_view s) {
+          for (std::size_t p = 0; p + kW <= s.size(); ++p) {
+            if ((Load8(s.data() + p) & kMask) == pat) {
+              return true;
+            }
+          }
+          return false;
+        });
+      },
+      [&] {
+        return MaskFromString(a, [&](std::string_view s) { return s.find(needle) != s.npos; });
+      });
 }
 
 Column StrSlice(const Column& a, long start, long len) {
-  return MapString(a, [start, len](const std::string& s) {
+  return MapString(a, [start, len](std::string_view s) {
     if (static_cast<std::size_t>(start) >= s.size()) {
-      return std::string();
+      return std::string_view();
     }
     return s.substr(static_cast<std::size_t>(start), static_cast<std::size_t>(len));
   });
 }
 
 Column StrRemoveChar(const Column& a, char ch) {
-  return MapString(a, [ch](const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c != ch) {
-        out.push_back(c);
-      }
+  std::string scratch;
+  return MapString(a, [ch, &scratch](std::string_view s) {
+    if (s.find(ch) == s.npos) {
+      return s;
     }
-    return out;
+    if (scratch.size() < s.size()) {
+      scratch.resize(s.size());
+    }
+    // Branchless: every byte is written, only kept bytes advance.
+    std::size_t n = 0;
+    for (char c : s) {
+      scratch[n] = c;
+      n += c != ch ? 1 : 0;
+    }
+    return std::string_view(scratch.data(), n);
   });
 }
 
 Column StrIsNumeric(const Column& a) {
-  return MaskFromString(a, [](const std::string& s) {
+  return MaskFromString(a, [](std::string_view s) {
     if (s.empty()) {
       return false;
     }
@@ -336,36 +519,33 @@ Column StrIsNumeric(const Column& a) {
 }
 
 Column StrLen(const Column& a) {
-  auto in = a.strings();
-  std::vector<std::int64_t> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = static_cast<std::int64_t>(in[i].size());
+  auto o = a.string_offsets();
+  std::vector<std::int64_t> out(static_cast<std::size_t>(a.size()));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = o[i + 1] - o[i];
   }
   return Column::Ints(std::move(out));
 }
 
 Column StrWhere(const Column& mask, const Column& a, const std::string& otherwise) {
   auto m = mask.ints();
-  auto in = a.strings();
-  MZ_CHECK_MSG(m.size() == in.size(), "mask length mismatch");
-  std::vector<std::string> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    out[i] = m[i] != 0 ? in[i] : otherwise;
+  auto o = a.string_offsets();
+  const StringRows in(a);
+  MZ_CHECK_MSG(static_cast<long>(m.size()) == a.size(), "mask length mismatch");
+  StringColumnBuilder out;
+  out.Reserve(a.size(), static_cast<long>(o.back() - o.front()));
+  for (std::size_t i = 0; i < m.size(); ++i) {
+    out.Append(m[i] != 0 ? in[static_cast<long>(i)] : std::string_view(otherwise));
   }
-  return Column::Strings(std::move(out));
+  return out.Finish();
 }
 
 Column StrToDouble(const Column& a) {
-  auto in = a.strings();
-  std::vector<double> out(in.size());
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    try {
-      std::size_t pos = 0;
-      double v = std::stod(in[i], &pos);
-      out[i] = pos == in[i].size() ? v : std::nan("");
-    } catch (...) {
-      out[i] = std::nan("");
-    }
+  const StringRows in(a);
+  std::vector<double> out(static_cast<std::size_t>(a.size()));
+  std::string scratch;
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    out[i] = ParseDouble(in[static_cast<long>(i)], scratch);
   }
   return Column::Doubles(std::move(out));
 }
@@ -409,16 +589,16 @@ DataFrame WithColumn(const DataFrame& frame, const std::string& name, const Colu
 DataFrame FilterRows(const DataFrame& frame, const Column& mask) {
   auto m = mask.ints();
   MZ_CHECK_MSG(static_cast<long>(m.size()) == frame.num_rows(), "filter mask length mismatch");
-  // Branchless selection vector: every row is written, only kept rows advance.
-  std::vector<long> keep(m.size());
+  // Branchless selection vector: every row is written, only kept rows
+  // advance, so it needs no zero fill.
+  auto keep = std::make_unique_for_overwrite<long[]>(m.size());
   std::size_t k = 0;
   for (std::size_t i = 0; i < m.size(); ++i) {
     keep[k] = static_cast<long>(i);
     k += m[i] != 0 ? 1 : 0;
   }
-  keep.resize(k);
   std::vector<std::string> names = frame.names();
-  return DataFrame::Make(std::move(names), TakeColumns(frame, keep));
+  return DataFrame::Make(std::move(names), TakeColumns(frame, {keep.get(), k}));
 }
 
 DataFrame GroupByAgg(const DataFrame& frame, long key0, long key1, long val, long op) {
@@ -439,23 +619,24 @@ DataFrame GroupByAgg(const DataFrame& frame, long key0, long key1, long val, lon
   std::vector<double> mins;
   std::vector<double> maxs;
   WithKeys(k0, k1, [&](auto key_at) {
-    std::unordered_map<decltype(key_at(0L)), Agg, KeyHash> groups;
+    FlatGroups<decltype(key_at(0L))> groups;
+    std::vector<Agg> aggs;
     for (long r = 0; r < frame.num_rows(); ++r) {
-      auto [it, inserted] = groups.try_emplace(key_at(r));
-      Agg& agg = it->second;
+      auto [g, inserted] = groups.Insert(key_at(r));
       double x = value(r);
       if (inserted) {
-        agg.mn = x;
-        agg.mx = x;
-        agg.first_row = r;
-      } else {
+        aggs.push_back({.mn = x, .mx = x, .first_row = r});
+      }
+      Agg& agg = aggs[static_cast<std::size_t>(g)];
+      if (!inserted) {
         agg.mn = std::min(agg.mn, x);
         agg.mx = std::max(agg.mx, x);
       }
       agg.sum += x;
       agg.count += 1;
     }
-    for (const auto& [key, agg] : groups) {
+    for (long g : HashMapOrder(groups.keys())) {
+      const Agg& agg = aggs[static_cast<std::size_t>(g)];
       first_rows.push_back(agg.first_row);
       sums.push_back(agg.sum);
       counts.push_back(agg.count);
@@ -562,29 +743,28 @@ DataFrame ReAggregate(const DataFrame& partials, long num_keys, long op) {
   const bool fold_min = op == kAggMin;
   const bool fold_max = op == kAggMax;
 
-  struct Entry {
-    std::vector<double> vals;
-    long first_row = 0;
-  };
+  std::vector<std::span<const double>> in;
+  for (int v = 0; v < num_vals; ++v) {
+    in.push_back(partials.col(static_cast<int>(num_keys) + v).doubles());
+  }
   std::vector<long> first_rows;
   std::vector<std::vector<double>> vals(static_cast<std::size_t>(num_vals));
   WithKeys(k0, k1, [&](auto key_at) {
-    std::unordered_map<decltype(key_at(0L)), Entry, KeyHash> groups;
+    FlatGroups<decltype(key_at(0L))> groups;
+    std::vector<long> group_first_rows;
+    std::vector<double> accs;  // group g's values at [g * num_vals, (g + 1) * num_vals)
     for (long r = 0; r < partials.num_rows(); ++r) {
-      auto [it, inserted] = groups.try_emplace(key_at(r));
-      Entry& e = it->second;
+      auto [g, inserted] = groups.Insert(key_at(r));
       if (inserted) {
-        e.first_row = r;
-        e.vals.resize(static_cast<std::size_t>(num_vals));
-        for (int v = 0; v < num_vals; ++v) {
-          e.vals[static_cast<std::size_t>(v)] =
-              partials.col(static_cast<int>(num_keys) + v).d(r);
+        group_first_rows.push_back(r);
+        for (const auto& col : in) {
+          accs.push_back(col[static_cast<std::size_t>(r)]);
         }
         continue;
       }
       for (int v = 0; v < num_vals; ++v) {
-        double x = partials.col(static_cast<int>(num_keys) + v).d(r);
-        double& acc = e.vals[static_cast<std::size_t>(v)];
+        double x = in[static_cast<std::size_t>(v)][static_cast<std::size_t>(r)];
+        double& acc = accs[static_cast<std::size_t>(g * num_vals + v)];
         if (fold_min) {
           acc = std::min(acc, x);
         } else if (fold_max) {
@@ -594,10 +774,11 @@ DataFrame ReAggregate(const DataFrame& partials, long num_keys, long op) {
         }
       }
     }
-    for (const auto& [key, e] : groups) {
-      first_rows.push_back(e.first_row);
+    for (long g : HashMapOrder(groups.keys())) {
+      first_rows.push_back(group_first_rows[static_cast<std::size_t>(g)]);
       for (int v = 0; v < num_vals; ++v) {
-        vals[static_cast<std::size_t>(v)].push_back(e.vals[static_cast<std::size_t>(v)]);
+        vals[static_cast<std::size_t>(v)].push_back(
+            accs[static_cast<std::size_t>(g * num_vals + v)]);
       }
     }
   });

@@ -10,10 +10,8 @@ namespace workloads {
 
 df::DataFrame Make311Requests(long rows, std::uint64_t seed) {
   mz::Rng rng(seed);
-  std::vector<std::string> zips;
-  std::vector<std::string> complaints;
-  zips.reserve(static_cast<std::size_t>(rows));
-  complaints.reserve(static_cast<std::size_t>(rows));
+  df::StringColumnBuilder zips;
+  df::StringColumnBuilder complaints;
   const char* kComplaints[] = {"Noise", "Heating", "Street Condition", "Rodent", "Water"};
   for (long i = 0; i < rows; ++i) {
     double dice = rng.NextDouble();
@@ -29,21 +27,20 @@ df::DataFrame Make311Requests(long rows, std::uint64_t seed) {
     } else {
       zip = "";
     }
-    zips.push_back(std::move(zip));
-    complaints.push_back(kComplaints[rng.NextBounded(5)]);
+    zips.Append(zip);
+    complaints.Append(kComplaints[rng.NextBounded(5)]);
   }
   return df::DataFrame::Make({"incident_zip", "complaint_type"},
-                             {df::Column::Strings(std::move(zips)),
-                              df::Column::Strings(std::move(complaints))});
+                             {zips.Finish(), complaints.Finish()});
 }
 
 df::DataFrame MakeCityStats(long rows, std::uint64_t seed) {
   mz::Rng rng(seed);
-  std::vector<std::string> cities;
+  df::StringColumnBuilder cities;
   std::vector<double> population;
   std::vector<double> crimes;
   for (long i = 0; i < rows; ++i) {
-    cities.push_back("city" + std::to_string(i));
+    cities.Append("city" + std::to_string(i));
     // Log-ish spread: many small towns, few metropolises.
     double p = 1000.0 * std::exp(rng.NextDouble(0.0, 7.5));
     population.push_back(p);
@@ -51,7 +48,7 @@ df::DataFrame MakeCityStats(long rows, std::uint64_t seed) {
   }
   return df::DataFrame::Make(
       {"city", "population", "crimes"},
-      {df::Column::Strings(std::move(cities)), df::Column::Doubles(std::move(population)),
+      {cities.Finish(), df::Column::Doubles(std::move(population)),
        df::Column::Doubles(std::move(crimes))});
 }
 
@@ -60,19 +57,19 @@ df::DataFrame MakeBabyNames(long rows, std::uint64_t seed) {
   const char* kNames[] = {"Leslie", "Lesley", "Leslee", "Lesli",  "Lesly",  "James",
                           "Mary",   "John",   "Linda",  "Robert", "Susan",  "Michael",
                           "Karen",  "David",  "Nancy",  "Carol",  "Daniel", "Laura"};
-  std::vector<std::string> names;
+  df::StringColumnBuilder names;
   std::vector<std::int64_t> years;
   std::vector<std::int64_t> genders;
   std::vector<double> births;
   for (long i = 0; i < rows; ++i) {
-    names.push_back(kNames[rng.NextBounded(18)]);
+    names.Append(kNames[rng.NextBounded(18)]);
     years.push_back(1940 + static_cast<std::int64_t>(rng.NextBounded(70)));
     genders.push_back(static_cast<std::int64_t>(rng.NextBounded(2)));
     births.push_back(static_cast<double>(5 + rng.NextBounded(2000)));
   }
   return df::DataFrame::Make(
       {"name", "year", "gender", "births"},
-      {df::Column::Strings(std::move(names)), df::Column::Ints(std::move(years)),
+      {names.Finish(), df::Column::Ints(std::move(years)),
        df::Column::Ints(std::move(genders)), df::Column::Doubles(std::move(births))});
 }
 
@@ -108,14 +105,14 @@ MovieLensTables MakeMovieLens(long num_ratings, long num_users, long num_movies,
       {df::Column::Ints(std::move(u_user)), df::Column::Ints(std::move(u_gender))});
 
   std::vector<std::int64_t> m_movie;
-  std::vector<std::string> m_title;
+  df::StringColumnBuilder m_title;
   for (long i = 0; i < num_movies; ++i) {
     m_movie.push_back(i);
-    m_title.push_back("movie_" + std::to_string(i));
+    m_title.Append("movie_" + std::to_string(i));
   }
   out.movies = df::DataFrame::Make(
       {"movie", "title"},
-      {df::Column::Ints(std::move(m_movie)), df::Column::Strings(std::move(m_title))});
+      {df::Column::Ints(std::move(m_movie)), m_title.Finish()});
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Byte-identity golden test for the row-materializing DataFrame kernels.
 //
 // Every case runs one kernel (FilterRows, GroupByAgg, ReAggregate, HashJoin,
-// SortByKeys, and the branchless MaskAnd, MaskOr and ColWhere) over seeded
-// synthetic frames and folds every output byte into an FNV-1a digest: column
+// SortByKeys, the branchless MaskAnd, MaskOr and ColWhere, every string
+// kernel, and string-column Take and Concat) over seeded synthetic frames
+// and folds every output byte into an FNV-1a digest: column
 // names, column types, row count and each value's bytes in row order.
 // Group-by and join outputs are digested as produced, *not* canonicalized,
 // so the digests also pin hash-table group order. A kernel rewrite must
@@ -18,8 +19,10 @@
 #include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/rng.h"
 #include "dataframe/ops.h"
 #include "workloads/data_gen.h"
 
@@ -37,7 +40,7 @@ class Fnv1a {
     }
   }
   void U64(std::uint64_t v) { Bytes(&v, sizeof(v)); }
-  void Str(const std::string& s) {
+  void Str(std::string_view s) {
     U64(s.size());
     Bytes(s.data(), s.size());
   }
@@ -67,13 +70,54 @@ std::uint64_t Digest(const DataFrame& f) {
         }
         break;
       case df::ColType::kString:
-        for (const std::string& s : col.strings()) {
-          h.Str(s);
+        for (long r = 0; r < col.size(); ++r) {
+          h.Str(col.str(r));
         }
         break;
     }
   }
   return h.value();
+}
+
+// Strings the string kernels must treat byte for byte: empty, one byte,
+// short (in-place) and over 15 bytes (heap-allocated as std::string),
+// embedded NUL, non-ASCII bytes and numeric-looking values. The first rows
+// are the pool itself; the rest concatenate 0-3 seeded picks from it.
+std::vector<std::string> TrickyStrings() {
+  const std::vector<std::string> pool = {"",
+                                         "L",
+                                         "Le",
+                                         "Lesl",
+                                         "Leslie",
+                                         "Lesley",
+                                         "Lesl\xc3\xa9",
+                                         "e",
+                                         "-",
+                                         "ee-e",
+                                         std::string("Le\0sl", 5),
+                                         std::string("\0", 1),
+                                         "\xc3\xa9t\xc3\xa9",
+                                         "\xff\xfe\x80",
+                                         "12345",
+                                         "0x1p3",
+                                         " 1.5",
+                                         "1e400",
+                                         "Leslie Anne-Marie Smithson",
+                                         "0123456789012345678",
+                                         "city123",
+                                         "NO CLUE",
+                                         "N/A",
+                                         "10001-2345"};
+  mz::Rng rng(17);
+  std::vector<std::string> out = pool;
+  for (int i = 0; i < 1500; ++i) {
+    std::string s;
+    for (std::uint64_t parts = rng.NextBounded(4); parts > 0; --parts) {
+      s += pool[rng.NextBounded(pool.size())];
+    }
+    out.push_back(std::move(s));
+  }
+  return out;
 }
 
 // The seeded inputs every case draws from.
@@ -85,6 +129,20 @@ struct Inputs {
   DataFrame babies_sl = babies.Slice(977, 5011);
   DataFrame cities_sl = cities.Slice(301, 2999);
   DataFrame ratings_sl = ml.ratings.Slice(123, 4321);
+  // Tricky strings with a small-int and a double column alongside.
+  DataFrame tricky = [] {
+    std::vector<std::string> s = TrickyStrings();
+    std::vector<std::int64_t> k;
+    std::vector<double> v;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+      k.push_back(static_cast<std::int64_t>(i % 3));
+      v.push_back(0.25 * static_cast<double>(i % 11) - 1.0);
+    }
+    return DataFrame::Make({"s", "k", "v"}, {Column::Strings(std::move(s)),
+                                            Column::Ints(std::move(k)),
+                                            Column::Doubles(std::move(v))});
+  }();
+  DataFrame tricky_sl = tricky.Slice(13, 1409);
 };
 
 const Inputs& In() {
@@ -102,6 +160,48 @@ DataFrame Partials(const DataFrame& f, long key0, long key1, long val, long op) 
   std::vector<DataFrame> parts = {df::GroupByAgg(f.Slice(0, mid), key0, key1, val, op),
                                   df::GroupByAgg(f.Slice(mid, f.num_rows()), key0, key1, val, op)};
   return DataFrame::Concat(parts);
+}
+
+// Patterns of length 0, 1-8, 9 and more, and longer than any row; with
+// embedded NUL and non-ASCII bytes.
+const std::vector<std::string>& Patterns() {
+  static const std::vector<std::string> patterns = {
+      "", "L", "e", "\xc3", std::string("\0", 1), "Le", "-2", "Les", "1e4", "Lesl",
+      std::string("Le\0s", 4), "Lesli", "0x1p3", "Leslie", "N/A-10", "Lesl\xc3\xa9",
+      "Lesley ", "Leslie A", "01234567", "Leslie An", "123456789", "Leslie Anne-Marie Smithson",
+      std::string(40, 'e'), std::string(200, 'L')};
+  return patterns;
+}
+
+// Every string kernel over string column `s`: one output column per
+// (kernel, argument), named after both.
+DataFrame StringKernels(const Column& s) {
+  std::vector<std::string> names;
+  std::vector<Column> cols;
+  auto add = [&](std::string name, Column c) {
+    names.push_back(std::move(name));
+    cols.push_back(std::move(c));
+  };
+  for (std::size_t p = 0; p < Patterns().size(); ++p) {
+    add("starts" + std::to_string(p), df::StrStartsWith(s, Patterns()[p]));
+    add("contains" + std::to_string(p), df::StrContains(s, Patterns()[p]));
+  }
+  const std::pair<long, long> slices[] = {{0, 0}, {0, 3}, {2, 5}, {4, 100}, {15, 4},
+                                          {20, 4}, {200, 1}, {-1, 2}, {1, -1}};
+  for (const auto& [start, len] : slices) {
+    add("slice" + std::to_string(start) + "_" + std::to_string(len), df::StrSlice(s, start, len));
+  }
+  for (char ch : {'e', '-', '\0', '\xc3'}) {
+    add("remove" + std::to_string(static_cast<int>(ch)), df::StrRemoveChar(s, ch));
+  }
+  add("numeric", df::StrIsNumeric(s));
+  add("len", df::StrLen(s));
+  add("to_double", df::StrToDouble(s));
+  Column lesl = df::StrStartsWith(s, "Le");
+  add("where_x", df::StrWhere(lesl, s, "x"));
+  add("where_empty", df::StrWhere(lesl, s, ""));
+  add("where_long", df::StrWhere(df::MaskNot(lesl), s, "otherwise, a heap-sized string"));
+  return DataFrame::Make(std::move(names), std::move(cols));
 }
 
 struct Case {
@@ -292,6 +392,91 @@ const std::vector<Case>& Cases() {
       {"join/empty_left",
        [] { return df::HashJoin(In().ml.ratings.Slice(9, 9), In().ml.users, 0, 0); },
        0x68e53ab2abfc02eaull},
+
+      // --- String kernels: tricky strings, slices and concatenations ---
+      {"str/kernels", [] { return StringKernels(In().tricky.col("s")); }, 0xb0b79a9786f81304ull},
+      {"str/kernels_sliced",
+       [] { return StringKernels(In().tricky_sl.col("s")); },
+       0x90164db785313a6full},
+      {"str/kernels_babies_sliced",
+       [] { return StringKernels(In().babies_sl.col("name")); },
+       0xcec423017e576beeull},
+      {"str/kernels_concat_of_slices",
+       [] {
+         const Column& s = In().tricky.col("s");
+         std::vector<Column> parts = {s.Slice(3, 50), s.Slice(0, 0), s.Slice(40, 700),
+                                      s.Slice(1, 2), s.Slice(900, 1524)};
+         return StringKernels(Column::Concat(parts));
+       },
+       0x6c250bc59022a6faull},
+      {"str/concat_frames_of_slices",
+       [] {
+         const DataFrame& f = In().tricky_sl;
+         std::vector<DataFrame> parts = {f.Slice(100, 300), f.Slice(7, 7), f.Slice(0, 150),
+                                         In().tricky.Slice(1500, 1524)};
+         return DataFrame::Concat(parts);
+       },
+       0x52eaf94d56ef3b93ull},
+      {"str/concat_empty_strings",
+       [] {
+         std::vector<Column> parts = {Column::Strings({"", ""}), Column::Strings({}),
+                                      Column::Strings({"", "a", ""}).Slice(1, 3)};
+         return DataFrame::Make({"s"}, {Column::Concat(parts)});
+       },
+       0x4ac92a761354a91cull},
+      {"str/to_double_special",
+       [] {
+         const std::vector<std::string> in = {
+             " 1.5", "+2", "0x1p3", "1e-400", "1e400", "inf", "nan", "", "12abc", "-0",
+             " ", "1.5 ", "\t3", "\n-4.25", "NaN(123)", "-inf", "infinity", "INF", "1e-310",
+             "4.9e-324", "0x1p-1074", "1e308", "2e308", "-1e400", ".5", "5.", "e5", "1,5",
+             "0x", "0x1.8p1", "1e", "--1", "+-1", "1e+2", "9007199254740993",
+             std::string("12\0", 3), std::string("\0" "1", 2), "\xd9\xa1", "00012",
+             "1.000000000000000000000000000001", "0.1e-320"};
+         return DataFrame::Make({"x"}, {df::StrToDouble(Column::Strings(in))});
+       },
+       0x47a4d91b6472bcadull},
+      {"str/filter_take",
+       [] {
+         const DataFrame& f = In().tricky;
+         return df::FilterRows(f, df::StrContains(f.col("s"), "e"));
+       },
+       0xbd14ad9119021947ull},
+      {"str/filter_take_sliced",
+       [] {
+         const DataFrame& f = In().tricky_sl;
+         return df::FilterRows(f, df::StrIsNumeric(df::StrRemoveChar(f.col("s"), '-')));
+       },
+       0x462d9b25df22b25dull},
+      {"str/sort",
+       [] { return df::SortByKeys(In().tricky_sl, 1); },
+       0x8147a6e462a5a358ull},
+      {"str/groupby_sum",
+       [] { return df::GroupByAgg(In().tricky, 0, -1, 2, df::kAggSum); },
+       0xfe7244936dccbd30ull},
+      {"str/groupby_two_keys_sliced",
+       [] { return df::GroupByAgg(In().tricky_sl, 1, 0, 2, df::kAggMean); },
+       0xd256e71f1c37cbbaull},
+      {"str/groupby_max_sliced",
+       [] { return df::GroupByAgg(In().tricky_sl, 0, 1, 2, df::kAggMax); },
+       0x98c6dd4cf5e25966ull},
+      {"str/reagg_sum",
+       [] { return df::ReAggregate(Partials(In().tricky, 0, -1, 2, df::kAggSum), 1, df::kAggSum); },
+       0x4975282611284eccull},
+      {"str/reagg_two_keys_min_sliced",
+       [] {
+         DataFrame p = Partials(In().tricky_sl, 0, 1, 2, df::kAggMin);
+         return df::ReAggregate(p.Slice(3, p.num_rows() - 2), 2, df::kAggMin);
+       },
+       0xf7befd9d9d92eb0ull},
+      {"str/join",
+       [] {
+         // Duplicate build keys, empty and NUL-containing keys; keys that
+         // share a prefix up to a NUL must not match.
+         const DataFrame& f = In().tricky;
+         return df::HashJoin(In().tricky_sl.Slice(0, 400), f.Slice(0, 300), 0, 0);
+       },
+       0x1c19be5c1318f341ull},
 
       // --- SortByKeys (stable) ---
       {"sort/groupby_year_gender",
