@@ -91,7 +91,8 @@ Column Column::Take(std::span<const long> rows) const {
     case ColType::kInt64:
       return Ints(Gather(ints(), rows));
     case ColType::kString: {
-      // Gather the lengths into offsets, then copy each payload.
+      // Gather the lengths into offsets, then copy each payload. resize also
+      // zero-fills the payload, but appending row by row measured slower.
       const std::int64_t* in = string_offsets().data();
       StringData out;
       out.offsets.resize(rows.size() + 1);
@@ -147,18 +148,18 @@ Column Column::Concat(std::span<const Column> parts) {
       }
       StringData out;
       out.offsets.resize(static_cast<std::size_t>(total) + 1);
-      out.bytes.resize(static_cast<std::size_t>(payload + kStringPadding));
+      out.bytes.reserve(static_cast<std::size_t>(payload + kStringPadding));
       std::int64_t* offsets = out.offsets.data() + 1;
-      std::int64_t base = 0;
       for (const Column& p : parts) {
         auto o = p.string_offsets();
-        std::memcpy(out.bytes.data() + base, p.string_bytes() + o.front(),
-                    static_cast<std::size_t>(o.back() - o.front()));
+        const auto base = static_cast<std::int64_t>(out.bytes.size());
+        out.bytes.insert(out.bytes.end(), p.string_bytes() + o.front(),
+                         p.string_bytes() + o.back());
         for (std::size_t i = 1; i < o.size(); ++i) {
           *offsets++ = o[i] - o.front() + base;
         }
-        base += o.back() - o.front();
       }
+      out.bytes.resize(out.bytes.size() + kStringPadding);
       return FromStrings(std::move(out));
     }
   }

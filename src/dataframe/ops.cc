@@ -9,7 +9,6 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <type_traits>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -94,23 +93,6 @@ std::uint64_t PatternWord(const std::string& pattern) {
   char buf[8] = {};
   std::memcpy(buf, pattern.data(), std::min<std::size_t>(pattern.size(), 8));
   return Load8(buf);
-}
-
-// fixed(std::integral_constant<int, W>()) for a pattern of W = 1..8 bytes,
-// other() for any other length.
-template <typename Fixed, typename Other>
-Column ByPatternWidth(std::size_t width, Fixed fixed, Other other) {
-  switch (width) {
-    case 1: return fixed(std::integral_constant<int, 1>());
-    case 2: return fixed(std::integral_constant<int, 2>());
-    case 3: return fixed(std::integral_constant<int, 3>());
-    case 4: return fixed(std::integral_constant<int, 4>());
-    case 5: return fixed(std::integral_constant<int, 5>());
-    case 6: return fixed(std::integral_constant<int, 6>());
-    case 7: return fixed(std::integral_constant<int, 7>());
-    case 8: return fixed(std::integral_constant<int, 8>());
-    default: return other();
-  }
 }
 
 // std::stod's value without its exceptions: strtod over a NUL-terminated
@@ -445,40 +427,22 @@ Column ColWhere(const Column& mask, const Column& a, double otherwise) {
   return Column::Doubles(std::move(out));
 }
 
-// Patterns of 1-8 bytes compare one masked 8-byte load per position; the
-// byte buffer's padding keeps every load inside it.
+// Prefixes of 1-8 bytes compare one masked 8-byte load per row; the byte
+// buffer's padding keeps every load inside it.
 Column StrStartsWith(const Column& a, const std::string& prefix) {
+  if (prefix.empty() || prefix.size() > 8) {
+    return MaskFromString(a, [&](std::string_view s) { return s.starts_with(prefix); });
+  }
+  const std::size_t width = prefix.size();
+  const std::uint64_t mask = FirstBytesMask(static_cast<int>(width));
   const std::uint64_t pat = PatternWord(prefix);
-  return ByPatternWidth(
-      prefix.size(),
-      [&](auto width) {
-        constexpr int kW = decltype(width)::value;
-        return MaskFromString(a, [pat](std::string_view s) {
-          return (s.size() >= kW) & ((Load8(s.data()) & FirstBytesMask(kW)) == pat);
-        });
-      },
-      [&] { return MaskFromString(a, [&](std::string_view s) { return s.starts_with(prefix); }); });
+  return MaskFromString(a, [=](std::string_view s) {
+    return (s.size() >= width) & ((Load8(s.data()) & mask) == pat);
+  });
 }
 
 Column StrContains(const Column& a, const std::string& needle) {
-  const std::uint64_t pat = PatternWord(needle);
-  return ByPatternWidth(
-      needle.size(),
-      [&](auto width) {
-        constexpr int kW = decltype(width)::value;
-        constexpr std::uint64_t kMask = FirstBytesMask(kW);
-        return MaskFromString(a, [pat](std::string_view s) {
-          for (std::size_t p = 0; p + kW <= s.size(); ++p) {
-            if ((Load8(s.data() + p) & kMask) == pat) {
-              return true;
-            }
-          }
-          return false;
-        });
-      },
-      [&] {
-        return MaskFromString(a, [&](std::string_view s) { return s.find(needle) != s.npos; });
-      });
+  return MaskFromString(a, [&](std::string_view s) { return s.find(needle) != s.npos; });
 }
 
 Column StrSlice(const Column& a, long start, long len) {
