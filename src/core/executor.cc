@@ -286,7 +286,6 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
                                                     << st.bufs[i].full.type_name() << ")");
     st.bufs[i].info = st.bufs[i].splitter->Info(st.bufs[i].full, st.bufs[i].params);
   };
-  auto resolve_fresh_input = [&](std::size_t i) { resolve_fresh_input_at(0, i); };
 
   std::int64_t total = -1;
   std::int64_t sum_bpe = 0;
@@ -317,7 +316,7 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
     if (!def.is_input) {
       continue;
     }
-    resolve_fresh_input(i);
+    resolve_fresh_input_at(0, i);
     if (total < 0) {
       total = st0.bufs[i].info.total_elements;
     } else {
@@ -420,40 +419,10 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
     return def.params;
   };
 
-  // Resolves the splitter used to merge pieces of buffer (d, i) (the input's
-  // own splitter when it has one, otherwise derived from the piece type).
-  auto merge_splitter_for = [&](int d, std::size_t i,
-                                const Value& sample_piece) -> const Splitter* {
-    Scratch::StageExec& st = sc.stages[static_cast<std::size_t>(d)];
-    if (st.bufs[i].splitter != nullptr) {
-      return st.bufs[i].splitter;
-    }
-    const StageBuffer& def = region[static_cast<std::size_t>(d)]->buffers[i];
-    InternedId name = def.split_name;
-    if (def.merge_by_piece_type || def.split_name == 0) {
-      auto dflt = registry_->DefaultSplitTypeFor(sample_piece.type());
-      MZ_THROW_IF(!dflt.has_value(), "no default split type for produced value of C++ type "
-                                         << sample_piece.type_name());
-      name = *dflt;
-    }
-    const Splitter* s = registry_->FindSplitter(name, sample_piece.type());
-    if (s == nullptr) {
-      // Stream-typed buffers can carry pieces of a different C++ type than
-      // the stream's origin (e.g. a column extracted from frame pieces, both
-      // under one generic). Merge such pieces by their own type's default.
-      auto dflt = registry_->DefaultSplitTypeFor(sample_piece.type());
-      if (dflt.has_value() && *dflt != name) {
-        s = registry_->FindSplitter(*dflt, sample_piece.type());
-      }
-    }
-    MZ_THROW_IF(s == nullptr, "no merge splitter for (" << InternedName(name) << ", "
-                                                        << sample_piece.type_name() << ")");
-    return s;
-  };
-
-  // Same resolution, but returning the owning handle (deferred merges
-  // outlive this evaluation and must pin their splitter registration).
-  auto merge_splitter_shared_for = [&](int d, std::size_t i, const Value& sample_piece)
+  // Resolves the splitter that merges pieces of buffer (d, i) from the piece
+  // type. Returns the owning handle: deferred merges outlive this evaluation
+  // and must pin their splitter registration.
+  auto resolve_merge_splitter = [&](int d, std::size_t i, const Value& sample_piece)
       -> std::shared_ptr<const Splitter> {
     const StageBuffer& def = region[static_cast<std::size_t>(d)]->buffers[i];
     InternedId name = def.split_name;
@@ -465,6 +434,9 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
     }
     std::shared_ptr<const Splitter> s = registry_->FindSplitterShared(name, sample_piece.type());
     if (s == nullptr) {
+      // Stream-typed buffers can carry pieces of a different C++ type than
+      // the stream's origin (e.g. a column extracted from frame pieces, both
+      // under one generic). Merge such pieces by their own type's default.
       auto dflt = registry_->DefaultSplitTypeFor(sample_piece.type());
       if (dflt.has_value() && *dflt != name) {
         s = registry_->FindSplitterShared(*dflt, sample_piece.type());
@@ -473,6 +445,47 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
     MZ_THROW_IF(s == nullptr, "no merge splitter for (" << InternedName(name) << ", "
                                                         << sample_piece.type_name() << ")");
     return s;
+  };
+
+  // The input's own splitter when it has one, otherwise the resolved one.
+  // Like the input splitters, the raw pointer is used only within this
+  // evaluation.
+  auto merge_splitter_for = [&](int d, std::size_t i,
+                                const Value& sample_piece) -> const Splitter* {
+    const Splitter* own = sc.stages[static_cast<std::size_t>(d)].bufs[i].splitter;
+    return own != nullptr ? own : resolve_merge_splitter(d, i, sample_piece).get();
+  };
+
+  // Lazy merge-on-get for buffer (d, i), whose slot is pinned by a live
+  // Future: parks an ordered copy of the pieces (cheap: Values share holders)
+  // plus the merge recipe on the slot. Future::get() — or a later capture
+  // referencing the slot — merges on demand; if the Future dies unread, the
+  // merge never happens at all.
+  auto park_deferred_merge = [&](int d, std::size_t i) {
+    Scratch::StageExec& st = sc.stages[static_cast<std::size_t>(d)];
+    std::vector<OrderedPiece> ordered;
+    for (const auto& per_worker : st.pieces[i]) {
+      ordered.insert(ordered.end(), per_worker.begin(), per_worker.end());
+    }
+    std::sort(ordered.begin(), ordered.end(),
+              [](const OrderedPiece& a, const OrderedPiece& b) { return a.start < b.start; });
+    auto state = std::make_shared<DeferredMergeState>();
+    state->pieces.reserve(ordered.size());
+    for (OrderedPiece& p : ordered) {
+      if (p.piece.has_value()) {
+        state->pieces.push_back(std::move(p.piece));
+      }
+    }
+    if (state->pieces.empty()) {
+      return;
+    }
+    state->splitter = resolve_merge_splitter(d, i, state->pieces.front());
+    state->original = st.bufs[i].full;
+    std::span<const std::int64_t> params = merge_params_for(d, i);
+    state->params.assign(params.begin(), params.end());
+    graph_->slot(region[static_cast<std::size_t>(d)]->buffers[i].slot).deferred =
+        std::move(state);
+    stats_->deferred_merges.fetch_add(1, std::memory_order_relaxed);
   };
 
   // Footprint model (§5.2 extension): produced values and carried pieces
@@ -838,7 +851,7 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
                   "cannot materialize carried pieces for slot " << stage0.buffers[i].slot);
       st0.bufs[i].carried = false;
       set = CarriedSet{};
-      resolve_fresh_input(i);
+      resolve_fresh_input_at(0, i);
       MZ_THROW_IF(st0.bufs[i].info.total_elements != total,
                   "materialized carried value disagrees on total elements: "
                       << st0.bufs[i].info.total_elements << " vs " << total);
@@ -1337,29 +1350,7 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
         stats_->carry_pieces.fetch_add(nbatches, std::memory_order_relaxed);
         EvalStats::MaxInto(stats_->carry_chain_len_max, chain_in_max + 1 + d);
         if (def.deferred_merge) {
-          std::vector<OrderedPiece> ordered;
-          for (const auto& per_worker : st.pieces[i]) {
-            ordered.insert(ordered.end(), per_worker.begin(), per_worker.end());
-          }
-          std::sort(ordered.begin(), ordered.end(), [](const OrderedPiece& a,
-                                                       const OrderedPiece& b) {
-            return a.start < b.start;
-          });
-          auto state = std::make_shared<DeferredMergeState>();
-          state->pieces.reserve(ordered.size());
-          for (OrderedPiece& p : ordered) {
-            if (p.piece.has_value()) {
-              state->pieces.push_back(std::move(p.piece));
-            }
-          }
-          if (!state->pieces.empty()) {
-            state->splitter = merge_splitter_shared_for(d, i, state->pieces.front());
-            state->original = st.bufs[i].full;
-            std::span<const std::int64_t> params = merge_params_for(d, i);
-            state->params.assign(params.begin(), params.end());
-            graph_->slot(def.slot).deferred = std::move(state);
-            stats_->deferred_merges.fetch_add(1, std::memory_order_relaxed);
-          }
+          park_deferred_merge(d, i);
         }
         graph_->slot(def.slot).pending = false;
         continue;
@@ -1401,34 +1392,7 @@ void Executor::RunRegion(const std::vector<const Stage*>& region) {
         MZ_CHECK_MSG(carried_.count(def.slot) == 0,
                      "slot " << def.slot << " already has carried pieces in flight");
         if (def.deferred_merge) {
-          // Lazy merge-on-get: the slot is pinned by a live Future, so park
-          // an ordered copy of the pieces (cheap: Values share holders) plus
-          // the merge recipe on the slot. Future::get() — or a later capture
-          // referencing the slot — merges on demand; if the Future dies
-          // unread, the merge never happens at all.
-          std::vector<OrderedPiece> ordered;
-          for (const auto& per_worker : st.pieces[i]) {
-            ordered.insert(ordered.end(), per_worker.begin(), per_worker.end());
-          }
-          std::sort(ordered.begin(), ordered.end(), [](const OrderedPiece& a,
-                                                       const OrderedPiece& b) {
-            return a.start < b.start;
-          });
-          auto state = std::make_shared<DeferredMergeState>();
-          state->pieces.reserve(ordered.size());
-          for (OrderedPiece& p : ordered) {
-            if (p.piece.has_value()) {
-              state->pieces.push_back(std::move(p.piece));
-            }
-          }
-          if (!state->pieces.empty()) {
-            state->splitter = merge_splitter_shared_for(d, i, state->pieces.front());
-            state->original = st.bufs[i].full;
-            std::span<const std::int64_t> params = merge_params_for(d, i);
-            state->params.assign(params.begin(), params.end());
-            graph_->slot(def.slot).deferred = std::move(state);
-            stats_->deferred_merges.fetch_add(1, std::memory_order_relaxed);
-          }
+          park_deferred_merge(d, i);
         }
         CarriedSet set;
         set.per_worker = std::move(st.pieces[i]);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "core/plan_cache.h"
 #include "core/runtime.h"
 #include "dataframe/annotated.h"
+#include "dataframe/ops.h"
 #include "vecmath/annotated.h"
 #include "vecmath/vecmath.h"
 
@@ -150,6 +152,37 @@ TEST(PipelineRegion, DynamicQueueMatchesStatic) {
   EXPECT_EQ(s.pipeline_regions, 1);
   EXPECT_GT(s.pipeline_overlap_ns, 0);
 }
+
+// A live Future on a stream fed inside the region: the boundary is elided,
+// its pieces are consumed in flight, and a copy is parked on the slot for
+// merge-on-get.
+void ExpectInRegionDeferredMerge(bool dynamic) {
+  const long n = 50000;
+  df::Column base = MakeColumn(n);
+  const df::Column want = df::ColMulC(base, 2.0);
+  RuntimeOptions opts = Opts();
+  opts.pipeline = false;
+  opts.dynamic_scheduling = dynamic;
+  Runtime rt(opts);
+  RuntimeScope scope(&rt);
+  Future<df::Column> mid = mzdf::ColMulC(base, 2.0);
+  Future<double> sum = mzdf::ColSum(mzdf::ColAddC(mid, 1.0));
+  (void)sum.get();
+  EvalStats::Snapshot s = rt.stats().Take();
+  EXPECT_EQ(s.stages, 3);
+  EXPECT_EQ(s.pipeline_regions, 1);
+  EXPECT_EQ(s.boundaries_elided, 2);
+  EXPECT_EQ(s.deferred_merges, 1);
+  df::Column got = mid.get();
+  ASSERT_EQ(got.size(), n);
+  EXPECT_EQ(std::memcmp(got.doubles().data(), want.doubles().data(),
+                        static_cast<std::size_t>(n) * sizeof(double)),
+            0);
+}
+
+TEST(PipelineRegion, InRegionFeedParksDeferredMergeStatic) { ExpectInRegionDeferredMerge(false); }
+
+TEST(PipelineRegion, InRegionFeedParksDeferredMergeDynamic) { ExpectInRegionDeferredMerge(true); }
 
 TEST(PipelineRegion, ZeroElementRegionRunsEmptyBatches) {
   // A zero-length stream through a multi-stage region: one empty batch

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
 #include <vector>
 
 #include "core/client.h"
@@ -60,6 +62,83 @@ TEST(EvalStatsTest, ToStringMentionsEveryPhase) {
   for (const char* phase : {"client", "planner", "split", "task", "merge"}) {
     EXPECT_NE(s.find(phase), std::string::npos) << phase;
   }
+}
+
+// The counters that fold by max, listed independently of the table so that
+// a row declared with the wrong kind fails the tests below.
+bool IsMaxCounter(const std::string& name) {
+  return name == "carry_chain_len_max" || name == "footprint_bytes_max" ||
+         name == "plan_cache_true_bytes";
+}
+
+// Gives every counter a distinct nonzero value (row k gets 100 + k).
+void FillDistinct(EvalStats& stats) {
+  std::int64_t v = 100;
+#define MZ_X(name, kind) stats.name = v++;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+}
+
+TEST(EvalStatsTest, EveryCounterRoundTrips) {
+  EvalStats stats;
+  FillDistinct(stats);
+  const EvalStats::Snapshot snap = stats.Take();
+#define MZ_X(name, kind) EXPECT_EQ(snap.name, stats.name.load()) << #name;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+
+  // Self-add: sum rows double, max rows stay put.
+  EvalStats::Snapshot twice = snap;
+  twice.Add(snap);
+#define MZ_X(name, kind) \
+  EXPECT_EQ(twice.name, IsMaxCounter(#name) ? snap.name : 2 * snap.name) << #name;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+
+  // Adding doubled values: sum rows triple, max rows take the larger one.
+  EvalStats::Snapshot doubled;
+#define MZ_X(name, kind) doubled.name = 2 * snap.name;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+  EvalStats::Snapshot mixed = snap;
+  mixed.Add(doubled);
+#define MZ_X(name, kind) \
+  EXPECT_EQ(mixed.name, IsMaxCounter(#name) ? 2 * snap.name : 3 * snap.name) << #name;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+
+  // Accumulate into the live counters follows the same rule as Add.
+  stats.Accumulate(doubled);
+#define MZ_X(name, kind) \
+  EXPECT_EQ(stats.name.load(), mixed.name) << #name;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+
+  stats.Reset();
+#define MZ_X(name, kind) EXPECT_EQ(stats.name.load(), 0) << #name;
+  MZ_EVAL_STATS(MZ_X)
+#undef MZ_X
+}
+
+TEST(EvalStatsTest, ForEachAndToStringCoverEveryCounter) {
+  EvalStats stats;
+  FillDistinct(stats);
+  const EvalStats::Snapshot snap = stats.Take();
+  const std::string text = " " + snap.ToString() + " ";
+  std::set<std::string> names;
+  int rows = 0;
+  snap.ForEach([&](const char* name, std::int64_t value, EvalStats::Kind kind) {
+    ++rows;
+    names.insert(name);
+    EXPECT_EQ(kind == EvalStats::Kind::kMax, IsMaxCounter(name)) << name;
+    EXPECT_NE(text.find(" " + std::string(name) + "=" + std::to_string(value) + " "),
+              std::string::npos)
+        << name;
+  });
+  EXPECT_EQ(rows, 46);
+  EXPECT_EQ(names.size(), 46u);
+  // No Snapshot field lives outside the table.
+  EXPECT_EQ(sizeof(EvalStats::Snapshot), names.size() * sizeof(std::int64_t));
 }
 
 TEST(EvalStatsTest, RealEvaluationPopulatesCounters) {
