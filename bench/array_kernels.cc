@@ -7,14 +7,18 @@
 // and once over the whole 4 Mi-element input (memory-bound). The floor
 // copies the bytes the kernel reads per element with memcpy, cut the same
 // way. A kernel far above its floor does per-element work beyond moving its
-// data: the transcendental kernels (Exp, Log, Erf) call scalar libm per
-// element, and matrix::Pow calls std::pow.
+// data. Exp, Log and Erf run eight-lane ports of glibc's own algorithms on
+// AVX-512F CPUs and scalar libm elsewhere (the title names the active path);
+// matrix::Pow calls std::pow per element. The Erf row feeds [-1, 1];
+// Erf(bs) feeds Black Scholes' d / sqrt(2), of which about 43% fall in
+// 1.25 <= |x| < 6, where erf evaluates exp twice.
 //
 // The libraries run single-threaded here: the figure is one core's cost.
 //
 // Emits MOZART_BENCH_JSON rows (bench "array_kernels", workload = kernel,
 // config = "slice8k" or "whole"): ns_per_elem, memcpy_ns_per_elem, x_floor.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -61,6 +65,25 @@ std::vector<double> Uniform(long n, double lo, double hi, std::uint64_t seed) {
   return v;
 }
 
+// Black Scholes' erf arguments, d1 / sqrt(2) and d2 / sqrt(2) alternately,
+// over the workload's input ranges (workloads::BlackScholes).
+std::vector<double> BlackScholesErfArgs(long n, std::uint64_t seed) {
+  const double rate = 0.02;
+  const double vol = 0.30;
+  const double inv_sqrt2 = 1.0 / std::sqrt(2.0);
+  mz::Rng rng(seed);
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    double price = rng.NextDouble(20.0, 120.0);
+    double strike = rng.NextDouble(20.0, 120.0);
+    double t = rng.NextDouble(0.25, 2.0);
+    double vol_sqrt = vol * std::sqrt(t);
+    double d1 = (std::log(price / strike) + (rate + 0.5 * vol * vol) * t) / vol_sqrt;
+    v[i] = (i % 2 == 0 ? d1 : d1 - vol_sqrt) * inv_sqrt2;
+  }
+  return v;
+}
+
 Matrix ToMatrix(const std::vector<double>& v, long rows) {
   Matrix m(rows, kCols);
   std::memcpy(m.data(), v.data(), static_cast<std::size_t>(rows * kCols) * sizeof(double));
@@ -74,13 +97,14 @@ int main() {
   const long n = rows * kCols;
   const long slice = std::min(kSliceElems, n);
   bench::Title("Array kernels: ns per element vs a memcpy floor (" + std::to_string(n) +
-               " elements)");
+               " elements; Exp/Log/Erf path: " + vecmath::TranscendentalPath() + ")");
   vecmath::SetNumThreads(1);
   matrix::SetNumThreads(1);
 
   const std::vector<double> a = Uniform(n, 0.5, 4.0, 1);
   const std::vector<double> b = Uniform(n, 0.5, 4.0, 2);
   const std::vector<double> c = Uniform(n, -1.0, 1.0, 3);
+  const std::vector<double> d = BlackScholesErfArgs(n, 4);
   std::vector<double> out(static_cast<std::size_t>(n));
   const Matrix ma = ToMatrix(a, rows);
   const Matrix mb = ToMatrix(b, rows);
@@ -89,6 +113,7 @@ int main() {
   const double* pa = a.data();
   const double* pb = b.data();
   const double* pc = c.data();
+  const double* pd = d.data();
   double* po = out.data();
   // Matrix kernels run over the row band [e0 / kCols, e1 / kCols); the slice
   // and the whole input are whole rows.
@@ -108,6 +133,7 @@ int main() {
       {"Exp", 8, [&](long e0, long e1) { vecmath::Exp(e1 - e0, pc + e0, po + e0); }},
       {"Log", 8, [&](long e0, long e1) { vecmath::Log(e1 - e0, pa + e0, po + e0); }},
       {"Erf", 8, [&](long e0, long e1) { vecmath::Erf(e1 - e0, pc + e0, po + e0); }},
+      {"Erf(bs)", 8, [&](long e0, long e1) { vecmath::Erf(e1 - e0, pd + e0, po + e0); }},
       {"Fma", 24,
        [&](long e0, long e1) { vecmath::Fma(e1 - e0, pa + e0, pb + e0, pc + e0, po + e0); }},
       {"Select", 24,

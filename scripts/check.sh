@@ -61,12 +61,13 @@ if [[ "${1:-}" == "--tsan" ]]; then
   # runtime, and the pool. The full suite under TSan's ~10x slowdown is not
   # worth the wall time; these labels cover every lock. `matrix` adds the
   # 4-thread stencil and carried row-band tests; `dataframe` adds the
-  # DfThreadSweep hand-off of carried Column slices between pool threads.
-  # lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV
+  # DfThreadSweep hand-off of carried Column slices between pool threads;
+  # `vecmath` adds the concurrent first Erf call (the once-only AVX-512 path
+  # self-check). lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV
   # handler by design (§4.1 protected memory), which trips TSan's
   # signal-safety checker — a design property, not a data race.
-  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|matrix|dataframe) =="
+  echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|matrix|dataframe|vecmath) =="
   cmake -B build-tsan -S . -DMZ_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
-  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|matrix|dataframe" -E lazy_heap)
+  (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|matrix|dataframe|vecmath" -E lazy_heap)
 fi

@@ -17,7 +17,12 @@
 // differs. The per-element deviations that remain:
 //   BlackScholesFused: N(x) is 0.5 * (1 + erf(x / sqrt(2))), where the
 //     library multiplies by a precomputed 1 / sqrt(2); N(-d) is evaluated
-//     directly, where the library computes 1 - N(d).
+//     directly, where the library computes 1 - N(d). It also calls scalar
+//     libm per element: four std::erf, one std::log and one std::exp,
+//     where the library calls Erf twice and runs Exp, Log and Erf as
+//     eight-lane AVX-512 ports of the same libm code on AVX-512F CPUs.
+//     Fig. 1's Mozart-over-fused ratio therefore includes the library's
+//     hand-vectorized kernels, as the paper's MKL comparison does.
 //   HaversineFused: multiplies cos(lat0) * cos(lat) * sin^2 in the opposite
 //     order from the library chain (sin^2 * cos(lat) * cos(lat0)).
 //   MovieLensFused: joins through a user -> gender map, so it assumes unique

@@ -7,6 +7,7 @@
 #include "common/check.h"
 #include "common/cpu.h"
 #include "common/thread_pool.h"
+#include "vecmath/libm_avx512.h"
 
 namespace vecmath {
 namespace {
@@ -54,6 +55,18 @@ void MapUnary(long n, const double* a, double* out, F f) {
       po[i] = f(pa[i]);
     }
   });
+}
+
+// A libm-backed unary kernel: the bit-identical AVX-512 port `vec` when it
+// is active (libm_avx512.h), else the scalar call `f` per element.
+template <typename F>
+void MapLibm(long n, const double* a, double* out, void (*vec)(long, const double*, double*),
+             F f) {
+  if (!internal::LibmAvx512Active()) {
+    MapUnary(n, a, out, f);
+    return;
+  }
+  Dispatch(n, [=](long lo, long hi) { vec(hi - lo, a + lo, out + lo); });
 }
 
 template <typename F>
@@ -109,20 +122,24 @@ void SetNumThreads(int threads) {
 
 int GetNumThreads() { return EffectiveThreads(); }
 
+const char* TranscendentalPath() {
+  return internal::LibmAvx512Active() ? "avx512" : "scalar";
+}
+
 void Sqrt(long n, const double* a, double* out) {
   MapUnary(n, a, out, [](double x) { return std::sqrt(x); });
 }
 void Exp(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::exp(x); });
+  MapLibm(n, a, out, internal::ExpAvx512, [](double x) { return std::exp(x); });
 }
 void Log(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::log(x); });
+  MapLibm(n, a, out, internal::LogAvx512, [](double x) { return std::log(x); });
 }
 void Log1p(long n, const double* a, double* out) {
   MapUnary(n, a, out, [](double x) { return std::log1p(x); });
 }
 void Erf(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::erf(x); });
+  MapLibm(n, a, out, internal::ErfAvx512, [](double x) { return std::erf(x); });
 }
 void Sin(long n, const double* a, double* out) {
   MapUnary(n, a, out, [](double x) { return std::sin(x); });

@@ -25,6 +25,13 @@ int GetNumThreads();
 // Calls with fewer elements than this run serially even in parallel mode.
 inline constexpr long kParallelGrain = 1 << 15;
 
+// The code Exp, Log and Erf run: "avx512" for eight-lane ports of glibc's
+// own exp, log and erf (bit-identical to std::exp, std::log and std::erf;
+// chosen on AVX-512F CPUs once a self-check against this process's libm
+// passes), "scalar" for one libm call per element. The other transcendental
+// kernels always call libm per element.
+const char* TranscendentalPath();
+
 // --- unary: out[i] = f(a[i]) ---
 void Sqrt(long n, const double* a, double* out);
 void Exp(long n, const double* a, double* out);

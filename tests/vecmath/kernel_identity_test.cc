@@ -144,6 +144,15 @@ std::uint64_t Out(const std::function<void(double*)>& fill) {
 std::uint64_t Unary(UnaryK k) {
   return Out([k](double* o) { k(kN, In().u.data() + 1, o); });
 }
+// The unary case with `out` aliasing the input, as in MKL's
+// vdLn(n, a, a); it must reproduce the out-of-place digest.
+std::uint64_t UnaryInPlace(UnaryK k) {
+  std::vector<double> io = In().u;
+  k(kN, io.data() + 1, io.data() + 1);
+  Fnv1a h;
+  h.Doubles(io.data() + 1, kN);
+  return h.value();
+}
 std::uint64_t Binary(BinaryK k) {
   return Out([k](double* o) { k(kN, A(), B(), o); });
 }
@@ -252,6 +261,9 @@ const std::vector<Case>& Cases() {
       {"vec/Log", [] { return Unary(vecmath::Log); }, 0x8dcee7e368d2fb84ull},
       {"vec/Log1p", [] { return Unary(vecmath::Log1p); }, 0x1f7d0061eca03e3cull},
       {"vec/Erf", [] { return Unary(vecmath::Erf); }, 0x57e0dfd4885e0b53ull},
+      {"vec/Exp_inplace", [] { return UnaryInPlace(vecmath::Exp); }, 0x63ada4cd6b835b7full},
+      {"vec/Log_inplace", [] { return UnaryInPlace(vecmath::Log); }, 0x8dcee7e368d2fb84ull},
+      {"vec/Erf_inplace", [] { return UnaryInPlace(vecmath::Erf); }, 0x57e0dfd4885e0b53ull},
       {"vec/Sin", [] { return Unary(vecmath::Sin); }, 0x8dc26eabce36814eull},
       {"vec/Cos", [] { return Unary(vecmath::Cos); }, 0xffc5aa6de17c3b4cull},
       {"vec/Tan", [] { return Unary(vecmath::Tan); }, 0xc50e635689d4f16full},
