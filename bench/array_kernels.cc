@@ -7,11 +7,15 @@
 // and once over the whole 4 Mi-element input (memory-bound). The floor
 // copies the bytes the kernel reads per element with memcpy, cut the same
 // way. A kernel far above its floor does per-element work beyond moving its
-// data. Exp, Log and Erf run eight-lane ports of glibc's own algorithms on
-// AVX-512F CPUs and scalar libm elsewhere (the title names the active path);
-// matrix::Pow calls std::pow per element. The Erf row feeds [-1, 1];
-// Erf(bs) feeds Black Scholes' d / sqrt(2), of which about 43% fall in
-// 1.25 <= |x| < 6, where erf evaluates exp twice.
+// data. Exp, Log, Erf and Log1p run eight-lane ports of glibc's own
+// algorithms on AVX-512F CPUs and scalar libm elsewhere (the title names the
+// active paths); Sin, Cos, Asin, Atan and matrix::Pow call libm per element.
+// The Erf row feeds [-1, 1]; Erf(bs) feeds Black Scholes' d / sqrt(2), of
+// which about 43% fall in 1.25 <= |x| < 6, where erf evaluates exp twice.
+// Log1p feeds [0, 10] (the serving benchmark's inputs) and Log1p(k0) feeds
+// [-0.29, 0.41], where log1p skips its argument reduction. The trig rows
+// measure Haversine's calls: Sin and Asin feed its half-angle differences
+// [-0.11, 0.15], Cos and Atan its latitudes [0.5, 0.9].
 //
 // The libraries run single-threaded here: the figure is one core's cost.
 //
@@ -97,7 +101,8 @@ int main() {
   const long n = rows * kCols;
   const long slice = std::min(kSliceElems, n);
   bench::Title("Array kernels: ns per element vs a memcpy floor (" + std::to_string(n) +
-               " elements; Exp/Log/Erf path: " + vecmath::TranscendentalPath() + ")");
+               " elements; Exp/Log/Erf path: " + vecmath::TranscendentalPath() +
+               ", Log1p path: " + vecmath::Log1pPath() + ")");
   vecmath::SetNumThreads(1);
   matrix::SetNumThreads(1);
 
@@ -105,6 +110,10 @@ int main() {
   const std::vector<double> b = Uniform(n, 0.5, 4.0, 2);
   const std::vector<double> c = Uniform(n, -1.0, 1.0, 3);
   const std::vector<double> d = BlackScholesErfArgs(n, 4);
+  const std::vector<double> e = Uniform(n, 0.0, 10.0, 5);
+  const std::vector<double> f = Uniform(n, -0.29, 0.41, 6);
+  const std::vector<double> g = Uniform(n, -0.11, 0.15, 7);
+  const std::vector<double> h = Uniform(n, 0.5, 0.9, 8);
   std::vector<double> out(static_cast<std::size_t>(n));
   const Matrix ma = ToMatrix(a, rows);
   const Matrix mb = ToMatrix(b, rows);
@@ -114,6 +123,10 @@ int main() {
   const double* pb = b.data();
   const double* pc = c.data();
   const double* pd = d.data();
+  const double* pe = e.data();
+  const double* pf = f.data();
+  const double* pg = g.data();
+  const double* ph = h.data();
   double* po = out.data();
   // Matrix kernels run over the row band [e0 / kCols, e1 / kCols); the slice
   // and the whole input are whole rows.
@@ -134,6 +147,12 @@ int main() {
       {"Log", 8, [&](long e0, long e1) { vecmath::Log(e1 - e0, pa + e0, po + e0); }},
       {"Erf", 8, [&](long e0, long e1) { vecmath::Erf(e1 - e0, pc + e0, po + e0); }},
       {"Erf(bs)", 8, [&](long e0, long e1) { vecmath::Erf(e1 - e0, pd + e0, po + e0); }},
+      {"Log1p", 8, [&](long e0, long e1) { vecmath::Log1p(e1 - e0, pe + e0, po + e0); }},
+      {"Log1p(k0)", 8, [&](long e0, long e1) { vecmath::Log1p(e1 - e0, pf + e0, po + e0); }},
+      {"Sin", 8, [&](long e0, long e1) { vecmath::Sin(e1 - e0, pg + e0, po + e0); }},
+      {"Cos", 8, [&](long e0, long e1) { vecmath::Cos(e1 - e0, ph + e0, po + e0); }},
+      {"Asin", 8, [&](long e0, long e1) { vecmath::Asin(e1 - e0, pg + e0, po + e0); }},
+      {"Atan", 8, [&](long e0, long e1) { vecmath::Atan(e1 - e0, ph + e0, po + e0); }},
       {"Fma", 24,
        [&](long e0, long e1) { vecmath::Fma(e1 - e0, pa + e0, pb + e0, pc + e0, po + e0); }},
       {"Select", 24,

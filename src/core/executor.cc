@@ -125,9 +125,7 @@ std::int64_t Executor::HeuristicBatchElems(std::int64_t sum_bytes_per_element,
   if (sum_bytes_per_element <= 0) {
     return 0;
   }
-  std::int64_t budget = static_cast<std::int64_t>(opts_.l2_fraction *
-                                                  static_cast<double>(opts_.l2_bytes)) -
-                        resident_bytes;
+  std::int64_t budget = static_cast<std::int64_t>(opts_.l2_bytes) - resident_bytes;
   if (budget <= 0) {
     // Resident operands (broadcast values) already overflow the cache
     // budget; the smallest batch at least bounds the marginal working set.

@@ -54,7 +54,6 @@ namespace mz {
 
 struct ExecOptions {
   std::int64_t batch_override = 0;  // 0 = use the L2 heuristic
-  double l2_fraction = 1.0;         // the paper's constant C
   std::size_t l2_bytes = 256 * 1024;
   bool pedantic = false;      // §7.1 debugging mode: hard-fail on bad splits
   bool collect_stats = true;  // phase timers (Fig. 5)

@@ -37,7 +37,6 @@ struct RuntimeOptions {
   bool pipeline = true;             // false = Table 4's "-pipe" ablation
   bool pedantic = false;            // §7.1 debugging mode
   std::int64_t batch_elems_override = 0;  // 0 = L2 heuristic (§5.2)
-  double batch_l2_fraction = 1.0;         // the heuristic's constant C
   bool collect_stats = true;
   // Work-stealing batch scheduling instead of the paper's default static
   // partitioning (§5.2 explicitly allows both; see ExecOptions).

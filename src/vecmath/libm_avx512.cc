@@ -1,28 +1,31 @@
-// Eight-lane AVX-512 ports of glibc 2.36's scalar exp, log and erf.
+// Eight-lane AVX-512 ports of glibc 2.36's scalar exp, log, erf and log1p.
 //
 // Each port follows the x86-64 libm.so.6 machine code lane for lane:
 //  * exp and log resolve, through glibc's ifunc, to the FMA build of Arm's
 //    table-driven routines on any AVX2+FMA CPU. _mm512_fmadd_pd appears
 //    exactly where that build fuses a multiply into an add; every other
 //    step is a separately rounded multiply, add or subtract.
+//  * log1p is fdlibm's s_log1p.c, and its ifunc likewise picks an FMA build
+//    on AVX2+FMA CPUs; the fused steps are marked the same way.
 //  * erf is fdlibm's s_erf.c compiled as plain SSE2 code, so its own
 //    arithmetic has no fused operations; the two exp calls it makes for
 //    1.25 <= |x| < 6 go to the FMA exp above (ExpLanes here).
 // The build passes -ffp-contract=off so the compiler cannot fuse the
 // separate multiplies and adds either. Lanes outside the ported ranges
 // (NaN, infinities, tiny and huge arguments, zero, negative and subnormal
-// log arguments) call the scalar std:: function on a copy of the input
+// log arguments, log1p arguments at or below -1 and those on libm's
+// |f| < 2^-20 branch) call the scalar std:: function on a copy of the input
 // taken before anything is stored, so `out` may alias `a`.
 //
 // Only the kernel functions carry the avx512f/fma target attribute; no file
 // flag changes the ISA, so inline functions this file shares with others
-// are never compiled for AVX-512. LibmAvx512Active() enables the ports only
-// on CPUs with AVX-512F, and only after a self-check against the process's
-// own libm.
+// are never compiled for AVX-512. LibmAvx512Active() (exp, log, erf) and
+// Log1pAvx512Active() enable the ports only on CPUs with AVX-512F, and only
+// after a self-check against the process's own libm.
 //
 // Constants are copied bit for bit from glibc 2.36's libm read-only data:
-//  * erf's coefficients come from fdlibm. Copyright (C) 1993 by Sun
-//    Microsystems, Inc. All rights reserved. Developed at SunPro, a Sun
+//  * erf's and log1p's coefficients come from fdlibm. Copyright (C) 1993 by
+//    Sun Microsystems, Inc. All rights reserved. Developed at SunPro, a Sun
 //    Microsystems, Inc. business. Permission to use, copy, modify, and
 //    distribute this software is freely granted, provided that this notice
 //    is preserved.
@@ -144,6 +147,30 @@ constexpr std::int64_t kErfSmall = 0x3feb0000;  // 0.84375
 constexpr std::int64_t kErfMid = 0x3ff40000;    // 1.25
 constexpr std::int64_t kErfRa = 0x4006db6e;     // 1/0.35
 constexpr std::int64_t kErfBig = 0x40180000;    // 6
+
+// ---- log1p (fdlibm s_log1p.c) ----
+constexpr double kLn2Hi = D(0x3fe62e42fee00000);
+constexpr double kLn2Lo = D(0x3dea39ef35793c76);
+// log(1 + f) = 2s + s R(s^2), s = f / (2 + f); R(z) = Lp[1] z + ... + Lp[7] z^7.
+constexpr double kLp[8] = {0.0,
+                           D(0x3fe5555555555593),
+                           D(0x3fd999999997fa04),
+                           D(0x3fd2492494229359),
+                           D(0x3fcc71c51d8e78af),
+                           D(0x3fc7466496cb03de),
+                           D(0x3fc39a09d078c69f),
+                           D(0x3fc2f112df3e5244)};
+// High words of x at log1p's branch edges (libm compares them signed):
+// 2^-29 <= |x| < 0.41422 takes f = x, k = 0, except x <= -0.2929, which
+// joins 0.41422 <= x < 2^53 in reducing u = 1 + x to 2^k (1 + f).
+constexpr std::int64_t kLog1pTiny = 0x3e200000;     // 2^-29
+constexpr std::int64_t kLog1pPos = 0x3fda827a;      // 0.41422
+constexpr std::int64_t kLog1pBig = 0x43400000;      // 2^53
+constexpr std::int64_t kLog1pNegTiny = 0xbe200000;  // -2^-29
+constexpr std::int64_t kLog1pNeg = 0xbfd2bec4;      // -0.2929
+constexpr std::int64_t kLog1pNegOne = 0xbff00000;   // -1
+// u's mantissa high bits from which u is halved (u / 2^k >= sqrt(2)).
+constexpr std::int64_t kLog1pHalve = 0x6a09e;
 
 // glibc __exp_data.tab: for i in [0, 128), {tail, scale bits - (i << 45)},
 // where 2^(i/128) ~= scale * (1 + tail).
@@ -380,6 +407,64 @@ MZ_AVX512 inline __m512d LogLanes(__m512d x, __mmask8* special) {
   return y;
 }
 
+// fdlibm's log1p for -1 < x < 2^53 with |x| >= 2^-29 and libm's `hu` not
+// zero; `special` gets the other lanes. hu == 0 marks |f| < 2^-20 (and every
+// x = 2^k - 1), where libm takes a short series this port leaves to it.
+MZ_AVX512 inline __m512d Log1pLanes(__m512d x, __mmask8* special) {
+  const __m512i hx = _mm512_srli_epi64(_mm512_castpd_si512(x), 32);
+  const __mmask8 direct =
+      InRange(hx, kLog1pTiny, kLog1pPos) | InRange(hx, kLog1pNegTiny, kLog1pNeg);
+  const __mmask8 via_u = InRange(hx, kLog1pPos, kLog1pBig) | InRange(hx, kLog1pNeg, kLog1pNegOne);
+  *special = Not(direct | via_u);
+  const __m512d one = Set(1.0);
+  const __m512i zero = _mm512_setzero_si512();
+  __m512d f = x;
+  __m512i k = zero;
+  __m512d c = Set(0.0);
+  if (via_u != 0) {
+    // u = 1 + x = 2^k (1 + f) with sqrt(2)/2 <= 1 + f < sqrt(2); c corrects
+    // the rounding of 1 + x.
+    const __m512d u = Add(x, one);
+    const __m512i ubits = _mm512_castpd_si512(u);
+    const __m512i hu = _mm512_srli_epi64(ubits, 32);
+    const __m512i ku = _mm512_sub_epi64(_mm512_srli_epi64(hu, 20), SetI(1023));
+    // c = (k > 0 ? 1 - (u - x) : x - (u - 1)) / u, with u's unscaled k.
+    const __mmask8 kpos = _mm512_cmpgt_epi64_mask(ku, zero);
+    c = _mm512_div_pd(_mm512_mask_blend_pd(kpos, Sub(x, Sub(u, one)), Sub(one, Sub(u, x))), u);
+    const __m512i frac = _mm512_and_si512(hu, SetI(0xfffff));
+    const __mmask8 halve = _mm512_cmpge_epi64_mask(frac, SetI(kLog1pHalve));
+    const __m512i top = _mm512_mask_blend_epi64(halve, SetI(0x3ff00000), SetI(0x3fe00000));
+    const __m512i un = _mm512_or_si512(_mm512_slli_epi64(_mm512_or_si512(frac, top), 32),
+                                       _mm512_and_si512(ubits, SetI(0xffffffff)));
+    k = _mm512_maskz_mov_epi64(via_u, _mm512_mask_add_epi64(ku, halve, ku, SetI(1)));
+    const __m512i hu_left = _mm512_mask_blend_epi64(
+        halve, frac, _mm512_srai_epi64(_mm512_sub_epi64(SetI(0x100000), frac), 2));
+    *special |= via_u & _mm512_cmpeq_epi64_mask(hu_left, zero);
+    f = _mm512_mask_blend_pd(via_u, x, Sub(_mm512_castsi512_pd(un), one));
+  }
+  const __m512d hfsq = Mul(Mul(f, Set(0.5)), f);
+  const __m512d s = _mm512_div_pd(f, Add(f, Set(2.0)));
+  const __m512d z = Mul(s, s);
+  const __m512d r2 = Fma(z, Set(kLp[3]), Set(kLp[2]));
+  const __m512d r3 = Fma(z, Set(kLp[5]), Set(kLp[4]));
+  const __m512d r4 = Fma(z, Set(kLp[7]), Set(kLp[6]));
+  const __m512d z2 = Mul(z, z);
+  const __m512d z4 = Mul(z2, z2);
+  const __m512d z6 = Mul(z2, z4);
+  __m512d r = Fma(z, Set(kLp[1]), Mul(z2, r2));
+  r = Fma(z4, r3, r);
+  r = Fma(z6, r4, r);
+  const __m512d sr = Mul(Add(r, hfsq), s);
+  __m512d y = Sub(f, Sub(hfsq, sr));  // k == 0
+  const __mmask8 scaled = _mm512_test_epi64_mask(k, k);
+  if (scaled != 0) {
+    const __m512d kd = _mm512_cvtepi32_pd(_mm512_cvtepi64_epi32(k));
+    const __m512d lo = Add(Fma(kd, Set(kLn2Lo), c), sr);
+    y = _mm512_mask_blend_pd(scaled, y, _mm512_fmsub_pd(kd, Set(kLn2Hi), Sub(Sub(hfsq, lo), f)));
+  }
+  return y;
+}
+
 // Per lane, coefficient i of table a where `ra` is set and of table b
 // elsewhere.
 MZ_AVX512 inline __m512d Pick(__mmask8 ra, const double* a, const double* b, int i) {
@@ -480,6 +565,10 @@ struct LogKernel {
 struct ErfKernel {
   MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) { return ErfLanes(x, special); }
   static double Scalar(double x) { return std::erf(x); }
+};
+struct Log1pKernel {
+  MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) { return Log1pLanes(x, special); }
+  static double Scalar(double x) { return std::log1p(x); }
 };
 
 // Stores the `live` lanes of y to out, with each `special` lane replaced by
@@ -602,7 +691,30 @@ int ErfProbes(double* p) {
   return AddSpecials(p, n);
 }
 
-constexpr int kMaxProbes = kSweep + 1000;
+// Sweeps of (-1, 12], one per branch range and two over the k != 0 range
+// above 0.41422, both sides of every branch edge, the halving edge of u in
+// several binades, and every x = 2^k - 1 (libm's hu == 0 branch).
+int Log1pProbes(double* p) {
+  int n = AddSweep(-0.9999, -0.2929, p, 0);
+  n = AddSweep(-0.2929, 0.4142, p, n);
+  n = AddSweep(0.4142, 2.0, p, n);
+  n = AddSweep(2.0, 12.0, p, n);
+  const std::int64_t edges[] = {kLog1pTiny, kLog1pPos, kLog1pBig, kLog1pNeg, kLog1pNegOne,
+                                0x3c900000 /* 2^-54 */};
+  for (std::int64_t hi : edges) {
+    n = AddEdge(D(static_cast<std::uint64_t>(hi) << 32), p, n);
+  }
+  for (int e = -1; e <= 4; ++e) {
+    n = AddEdge(std::ldexp(D(0x3ff0000000000000 | (std::uint64_t(kLog1pHalve) << 32)), e) - 1.0,
+                p, n);
+  }
+  for (int e = 1; e <= 53; ++e) {
+    p[n++] = std::ldexp(1.0, e) - 1.0;
+  }
+  return AddSpecials(p, n);
+}
+
+constexpr int kMaxProbes = 4 * kSweep + 1000;
 
 template <typename K>
 bool Matches(int (*probes)(double*)) {
@@ -618,21 +730,28 @@ bool Matches(int (*probes)(double*)) {
   return true;
 }
 
+bool CpuHasAvx512Fma() {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
+}
+
 }  // namespace
 
 bool LibmAvx512Active() {
-  static const bool active = [] {
-    __builtin_cpu_init();
-    return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma") &&
-           Matches<ExpKernel>(ExpProbes) && Matches<LogKernel>(LogProbes) &&
-           Matches<ErfKernel>(ErfProbes);
-  }();
+  static const bool active = CpuHasAvx512Fma() && Matches<ExpKernel>(ExpProbes) &&
+                             Matches<LogKernel>(LogProbes) && Matches<ErfKernel>(ErfProbes);
+  return active;
+}
+
+bool Log1pAvx512Active() {
+  static const bool active = CpuHasAvx512Fma() && Matches<Log1pKernel>(Log1pProbes);
   return active;
 }
 
 void ExpAvx512(long n, const double* a, double* out) { Map<ExpKernel>(n, a, out); }
 void LogAvx512(long n, const double* a, double* out) { Map<LogKernel>(n, a, out); }
 void ErfAvx512(long n, const double* a, double* out) { Map<ErfKernel>(n, a, out); }
+void Log1pAvx512(long n, const double* a, double* out) { Map<Log1pKernel>(n, a, out); }
 
 }  // namespace vecmath::internal
 
@@ -641,9 +760,11 @@ void ErfAvx512(long n, const double* a, double* out) { Map<ErfKernel>(n, a, out)
 namespace vecmath::internal {
 
 bool LibmAvx512Active() { return false; }
+bool Log1pAvx512Active() { return false; }
 void ExpAvx512(long, const double*, double*) {}
 void LogAvx512(long, const double*, double*) {}
 void ErfAvx512(long, const double*, double*) {}
+void Log1pAvx512(long, const double*, double*) {}
 
 }  // namespace vecmath::internal
 

@@ -1,11 +1,13 @@
-// Eight-lane AVX-512 ports of glibc's scalar exp, log and erf (vecmath's
-// Exp, Log and Erf kernels). Each lane performs the same IEEE operations in
-// the same order as the x86-64 libm the library links against, so every
-// output is bit-for-bit what std::exp, std::log and std::erf return; lanes
-// outside the ported ranges call those functions directly.
+// Eight-lane AVX-512 ports of glibc's scalar exp, log, erf and log1p
+// (vecmath's Exp, Log, Erf and Log1p kernels). Each lane performs the same
+// IEEE operations in the same order as the x86-64 libm the library links
+// against, so every output is bit-for-bit what std::exp, std::log, std::erf
+// and std::log1p return; lanes outside the ported ranges call those
+// functions directly.
 //
-// Internal to vecmath: vecmath.cc calls these only while LibmAvx512Active()
-// holds, and otherwise keeps its scalar libm loop.
+// Internal to vecmath: vecmath.cc calls these only while their gate
+// (LibmAvx512Active() or Log1pAvx512Active()) holds, and otherwise keeps its
+// scalar libm loop.
 #ifndef MOZART_VECMATH_LIBM_AVX512_H_
 #define MOZART_VECMATH_LIBM_AVX512_H_
 
@@ -16,11 +18,17 @@ namespace vecmath::internal {
 // the first call runs the check.
 bool LibmAvx512Active();
 
+// The same for log1p alone, with its own self-check, so a process that only
+// calls Log1p never runs the exp, log and erf probes.
+bool Log1pAvx512Active();
+
 // out[i] = std::exp(a[i]) etc. for i in [0, n). `out` may alias `a`.
-// Require LibmAvx512Active().
+// Exp, Log and Erf require LibmAvx512Active(); Log1p requires
+// Log1pAvx512Active().
 void ExpAvx512(long n, const double* a, double* out);
 void LogAvx512(long n, const double* a, double* out);
 void ErfAvx512(long n, const double* a, double* out);
+void Log1pAvx512(long n, const double* a, double* out);
 
 }  // namespace vecmath::internal
 

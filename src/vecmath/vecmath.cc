@@ -57,12 +57,12 @@ void MapUnary(long n, const double* a, double* out, F f) {
   });
 }
 
-// A libm-backed unary kernel: the bit-identical AVX-512 port `vec` when it
-// is active (libm_avx512.h), else the scalar call `f` per element.
+// A libm-backed unary kernel: the bit-identical AVX-512 port `vec` when its
+// gate `active` holds (libm_avx512.h), else the scalar call `f` per element.
 template <typename F>
-void MapLibm(long n, const double* a, double* out, void (*vec)(long, const double*, double*),
-             F f) {
-  if (!internal::LibmAvx512Active()) {
+void MapLibm(long n, const double* a, double* out, bool (*active)(),
+             void (*vec)(long, const double*, double*), F f) {
+  if (!active()) {
     MapUnary(n, a, out, f);
     return;
   }
@@ -126,20 +126,26 @@ const char* TranscendentalPath() {
   return internal::LibmAvx512Active() ? "avx512" : "scalar";
 }
 
+const char* Log1pPath() { return internal::Log1pAvx512Active() ? "avx512" : "scalar"; }
+
 void Sqrt(long n, const double* a, double* out) {
   MapUnary(n, a, out, [](double x) { return std::sqrt(x); });
 }
 void Exp(long n, const double* a, double* out) {
-  MapLibm(n, a, out, internal::ExpAvx512, [](double x) { return std::exp(x); });
+  MapLibm(n, a, out, internal::LibmAvx512Active, internal::ExpAvx512,
+          [](double x) { return std::exp(x); });
 }
 void Log(long n, const double* a, double* out) {
-  MapLibm(n, a, out, internal::LogAvx512, [](double x) { return std::log(x); });
+  MapLibm(n, a, out, internal::LibmAvx512Active, internal::LogAvx512,
+          [](double x) { return std::log(x); });
 }
 void Log1p(long n, const double* a, double* out) {
-  MapUnary(n, a, out, [](double x) { return std::log1p(x); });
+  MapLibm(n, a, out, internal::Log1pAvx512Active, internal::Log1pAvx512,
+          [](double x) { return std::log1p(x); });
 }
 void Erf(long n, const double* a, double* out) {
-  MapLibm(n, a, out, internal::ErfAvx512, [](double x) { return std::erf(x); });
+  MapLibm(n, a, out, internal::LibmAvx512Active, internal::ErfAvx512,
+          [](double x) { return std::erf(x); });
 }
 void Sin(long n, const double* a, double* out) {
   MapUnary(n, a, out, [](double x) { return std::sin(x); });

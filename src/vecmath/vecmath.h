@@ -28,9 +28,11 @@ inline constexpr long kParallelGrain = 1 << 15;
 // The code Exp, Log and Erf run: "avx512" for eight-lane ports of glibc's
 // own exp, log and erf (bit-identical to std::exp, std::log and std::erf;
 // chosen on AVX-512F CPUs once a self-check against this process's libm
-// passes), "scalar" for one libm call per element. The other transcendental
-// kernels always call libm per element.
+// passes), "scalar" for one libm call per element.
 const char* TranscendentalPath();
+// The same for Log1p, whose port of glibc's log1p has its own self-check.
+// The other transcendental kernels always call libm per element.
+const char* Log1pPath();
 
 // --- unary: out[i] = f(a[i]) ---
 void Sqrt(long n, const double* a, double* out);

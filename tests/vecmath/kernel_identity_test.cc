@@ -264,6 +264,7 @@ const std::vector<Case>& Cases() {
       {"vec/Exp_inplace", [] { return UnaryInPlace(vecmath::Exp); }, 0x63ada4cd6b835b7full},
       {"vec/Log_inplace", [] { return UnaryInPlace(vecmath::Log); }, 0x8dcee7e368d2fb84ull},
       {"vec/Erf_inplace", [] { return UnaryInPlace(vecmath::Erf); }, 0x57e0dfd4885e0b53ull},
+      {"vec/Log1p_inplace", [] { return UnaryInPlace(vecmath::Log1p); }, 0x1f7d0061eca03e3cull},
       {"vec/Sin", [] { return Unary(vecmath::Sin); }, 0x8dc26eabce36814eull},
       {"vec/Cos", [] { return Unary(vecmath::Cos); }, 0xffc5aa6de17c3b4cull},
       {"vec/Tan", [] { return Unary(vecmath::Tan); }, 0xc50e635689d4f16full},

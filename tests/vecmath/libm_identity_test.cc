@@ -1,5 +1,5 @@
-// Differential test: vecmath::Exp, Log and Erf against std::exp, std::log
-// and std::erf, bit for bit.
+// Differential test: vecmath::Exp, Log, Erf and Log1p against std::exp,
+// std::log, std::erf and std::log1p, bit for bit.
 //
 // On AVX-512F CPUs these kernels run eight-lane ports of glibc's own scalar
 // algorithms (src/vecmath/libm_avx512.cc); everywhere else they call libm
@@ -32,6 +32,7 @@ using Ref = double (*)(double);
 double StdExp(double x) { return std::exp(x); }
 double StdLog(double x) { return std::log(x); }
 double StdErf(double x) { return std::erf(x); }
+double StdLog1p(double x) { return std::log1p(x); }
 
 std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 double FromBits(std::uint64_t u) { return std::bit_cast<double>(u); }
@@ -136,6 +137,40 @@ std::vector<double> ErfInputs() {
   return v;
 }
 
+std::vector<double> Log1pInputs() {
+  std::vector<double> v;
+  Sweep(&v, -1.0, 12.0, 700001);
+  Sweep(&v, -0.3, 0.42, 200001);  // the k = 0 range and both of its edges
+  // Branch edges: -1, -0.2929 and 0.41422 (their fdlibm high words),
+  // 2^-29, 2^-54 and 2^53.
+  for (double edge : {-1.0, FromBits(0xbfd2bec400000000ull), FromBits(0x3fda827a00000000ull),
+                      0x1p-29, 0x1p-54, 0x1p53}) {
+    Around(&v, edge);
+  }
+  // u = 1 + x is halved from mantissa high bits 0x6a09e (about sqrt(2)).
+  for (int e = -1; e <= 20; ++e) {
+    Around(&v, std::ldexp(FromBits(0x3ff6a09e00000000ull), e) - 1.0);
+  }
+  // x = 2^k - 1 and their neighbours, and u = 1 + x anywhere on libm's
+  // hu == 0 branch (|f| < 2^-20): u's top 20 mantissa bits all zero, or,
+  // just below 2^k, all one but the last two.
+  mz::Rng rng(16);
+  for (int e = 1; e <= 60; ++e) {
+    Around(&v, std::ldexp(1.0, e) - 1.0);
+    for (int i = 0; i < 64; ++i) {
+      const std::uint64_t low = rng.NextU64() & 0xffffffffull;
+      const std::uint64_t above = (std::uint64_t(0x3ff + e) << 52) | low;
+      const std::uint64_t below = (std::uint64_t(0x3ff + e - 1) << 52) |
+                                  (std::uint64_t(0xffffd + i % 3) << 32) | low;
+      v.push_back(FromBits(above) - 1.0);
+      v.push_back(FromBits(below) - 1.0);
+    }
+  }
+  RandomBits(&v, 100000, 15);
+  Specials(&v);
+  return v;
+}
+
 std::string Hex(double x) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%a (0x%016llx)", x, static_cast<unsigned long long>(Bits(x)));
@@ -192,40 +227,54 @@ void CheckKernel(const char* name, Kernel k, Ref ref, const std::vector<double>&
 
 TEST(LibmIdentity, VectorPathActiveWhereSupported) {
   const std::string path = vecmath::TranscendentalPath();
-  std::printf("vecmath transcendental path: %s\n", path.c_str());
+  const std::string log1p_path = vecmath::Log1pPath();
+  std::printf("vecmath transcendental path: %s, log1p path: %s\n", path.c_str(),
+              log1p_path.c_str());
   EXPECT_TRUE(path == "avx512" || path == "scalar") << path;
+  EXPECT_TRUE(log1p_path == "avx512" || log1p_path == "scalar") << log1p_path;
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx512f")) {
     // A self-check failure would silently fall back to scalar libm.
     EXPECT_EQ(path, "avx512");
+    EXPECT_EQ(log1p_path, "avx512");
   }
 }
 
 TEST(LibmIdentity, ExpMatchesStdExp) { CheckKernel("Exp", vecmath::Exp, StdExp, ExpInputs()); }
 TEST(LibmIdentity, LogMatchesStdLog) { CheckKernel("Log", vecmath::Log, StdLog, LogInputs()); }
 TEST(LibmIdentity, ErfMatchesStdErf) { CheckKernel("Erf", vecmath::Erf, StdErf, ErfInputs()); }
+TEST(LibmIdentity, Log1pMatchesStdLog1p) {
+  CheckKernel("Log1p", vecmath::Log1p, StdLog1p, Log1pInputs());
+}
 
 // The first Exp/Log/Erf call of a process selects the code path and runs
-// its self-check once. Run alone (the libm_first_call_test ctest entry),
-// this makes that first call from four threads at once.
+// its self-check once, and so does the first Log1p call. Run alone (the
+// libm_first_call_test ctest entry), this makes both first calls from four
+// threads at once.
 TEST(LibmFirstCall, FourThreadsAtOnce) {
   constexpr int kThreads = 4;
   std::vector<double> in;
   Sweep(&in, -6.5, 6.5, 4001);
-  std::vector<std::vector<double>> outs(kThreads, std::vector<double>(in.size()));
+  const long n = static_cast<long>(in.size());
+  std::vector<std::vector<double>> erfs(kThreads, std::vector<double>(in.size()));
+  std::vector<std::vector<double>> log1ps(kThreads, std::vector<double>(in.size()));
   std::barrier start(kThreads);
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       start.arrive_and_wait();
-      vecmath::Erf(static_cast<long>(in.size()), in.data(), outs[static_cast<std::size_t>(t)].data());
+      vecmath::Erf(n, in.data(), erfs[static_cast<std::size_t>(t)].data());
+      start.arrive_and_wait();
+      vecmath::Log1p(n, in.data(), log1ps[static_cast<std::size_t>(t)].data());
     });
   }
   for (std::thread& th : threads) {
     th.join();
   }
-  for (const std::vector<double>& out : outs) {
-    ExpectSame("Erf first call", in.data(), out.data(), static_cast<long>(in.size()), StdErf);
+  for (int t = 0; t < kThreads; ++t) {
+    ExpectSame("Erf first call", in.data(), erfs[static_cast<std::size_t>(t)].data(), n, StdErf);
+    ExpectSame("Log1p first call", in.data(), log1ps[static_cast<std::size_t>(t)].data(), n,
+               StdLog1p);
   }
 }
 
