@@ -93,7 +93,6 @@ void ThreadPool::RunOnAllWorkers(const std::function<void(int)>& fn) {
 }
 
 void ThreadPool::RunOnWorkers(int width, const std::function<void(int)>& fn) {
-  dispatches_.fetch_add(1, std::memory_order_relaxed);
   int n = std::clamp(width, 1, num_threads());
   if (n == 1) {
     WorkerMark mark;

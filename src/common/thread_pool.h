@@ -17,7 +17,6 @@
 #ifndef MOZART_COMMON_THREAD_POOL_H_
 #define MOZART_COMMON_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -63,9 +62,8 @@ class ThreadPool {
   // True on threads currently executing pool work (any pool).
   static bool InWorker();
 
-  // Introspection for benches and the serving layer's admission tuning:
-  // total RunOnAllWorkers dispatches and the current queue depth.
-  std::int64_t dispatches() const { return dispatches_.load(std::memory_order_relaxed); }
+  // Introspection for the serving layer's admission tuning: the current
+  // queue depth.
   std::size_t queue_depth() const;
 
  private:
@@ -82,7 +80,6 @@ class ThreadPool {
   std::condition_variable cv_;
   std::queue<Task> queue_;
   bool shutdown_ = false;
-  std::atomic<std::int64_t> dispatches_{0};
 };
 
 // Returns a process-wide pool sized to the machine (used as the default by

@@ -1,17 +1,32 @@
 // The Mozart execution engine (§5.2 of the paper).
 //
-// Executes a Plan stage by stage:
-//  1. Discover runtime parameters: call each split input's Info() to learn
-//     total element counts and per-element cache footprints, then set the
-//     batch size to roughly C * sizeof(L2 cache) / sum(bytes per element).
-//  2. Execute: workers statically partition the element range (one
-//     contiguous chunk per worker). Each worker's driver loop splits every
-//     input for the current batch, runs the stage's functions in program
-//     order on the cache-resident pieces, and stashes output pieces.
-//  3. Merge: each worker merges its own pieces (associative merge), then the
-//     remaining per-worker partials are combined by a parallel merge tree on
-//     the pool (grouped partial merges on workers, root merge on the calling
-//     thread) and written back into the dataflow graph's slots.
+// Executes a Plan stage by stage; consecutive carried stages the planner
+// grouped into a pipeline region run as one region (a standalone stage is
+// a region of depth 1). RunRegion drives one region through named units:
+//  1. ResolveBuffers: for every depth, resolve each split input (Info()
+//     gives element totals and per-element footprints), each broadcast,
+//     and each carried input — claimed from the previous region at depth
+//     0, wired to its in-region producer deeper.
+//  2. SizeBatch: size the batch to roughly C * sizeof(L2 cache) / the
+//     widest depth's bytes per element.
+//  3. ReconcileCarried: bring carried piece sets to one batch structure
+//     (see below).
+//  4. BuildTasks: one list of batch tasks, cut from the carried pieces,
+//     from each worker's contiguous chunk (static partitioning), or by
+//     global stepping (dynamic scheduling).
+//  5. Walk the list one of two ways. The static walk gives each worker its
+//     own slice and runs every batch through every depth while it is
+//     cache-hot; the dynamic walk claims (batch, depth) runs from a shared
+//     queue, deepest first. Each run splits the inputs for the batch, runs
+//     the stage's functions in program order on the cache-resident pieces,
+//     and stashes output pieces; static workers then merge their own
+//     pieces (associative merge).
+//  6. HandOff: pass carried-out pieces to the next region and collect the
+//     remaining merges.
+//  7. MergeTree: combine per-worker partials (or, under dynamic scheduling,
+//     the start-ordered pieces) in grouped partial merges on the pool, fold
+//     the roots on the calling thread, and write the dataflow graph's
+//     slots.
 //
 // Piece passing (stage-boundary elision): when the planner marked a buffer
 // carry_out/carry_in (planner.h), the producing stage skips its merge and
@@ -32,16 +47,17 @@
 // coalesced per worker (adjacent pieces merged toward the target batch),
 // preserving order tags and worker affinity.
 // Carried sets whose range structure cannot be reconciled (e.g. a second
-// producer stage under dynamic scheduling) are materialized — merged into
-// the slot and re-split like a fresh input — so multi-producer carry chains
-// degrade gracefully instead of erroring.
+// producer stage under dynamic scheduling) are re-cut when their pieces
+// tile the stream, or else materialized — merged into the slot and
+// re-split like a fresh input — so multi-producer carry chains degrade
+// gracefully instead of erroring.
 #ifndef MOZART_CORE_EXECUTOR_H_
 #define MOZART_CORE_EXECUTOR_H_
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "common/cancel.h"
 #include "common/thread_pool.h"
@@ -55,8 +71,7 @@ namespace mz {
 struct ExecOptions {
   std::int64_t batch_override = 0;  // 0 = use the L2 heuristic
   std::size_t l2_bytes = 256 * 1024;
-  bool pedantic = false;      // §7.1 debugging mode: hard-fail on bad splits
-  bool collect_stats = true;  // phase timers (Fig. 5)
+  bool pedantic = false;  // §7.1 debugging mode: hard-fail on bad splits
   // The paper opts for static parallelism "because it is simpler to schedule
   // and... leads to similar results for most workloads; however, dynamic
   // work-stealing schedulers such as Cilk are also compatible" (§5.2). With
@@ -106,37 +121,22 @@ class Executor {
                                    std::int64_t resident_bytes = 0) const;
 
  private:
-  // One output piece tagged with the batch range that produced it, so
-  // dynamic scheduling can restore global order before merging and carried
-  // pieces can drive the consuming stage's batch structure.
-  struct OrderedPiece {
-    std::int64_t start = 0;
-    std::int64_t end = 0;
-    Value piece;
-  };
-
-  // Pieces handed across a stage boundary instead of being merged:
-  // per-worker piece lists (aligned by index across all buffers carried from
-  // the same producer stage) plus the producer's element total and how many
-  // consecutive carried boundaries this stream has crossed (chain length —
-  // feeds EvalStats::carry_chain_len_max).
-  struct CarriedSet {
-    std::vector<std::vector<OrderedPiece>> per_worker;
-    std::int64_t total = -1;
-    int chain_len = 1;
-  };
-
   // Reusable per-run scratch (per-depth pieces/partials tables, per-worker
-  // cursors), so back-to-back stages stop hammering the allocator; defined
-  // in the .cc.
+  // cursors, the task list and the dynamic queue), so back-to-back regions
+  // stop hammering the allocator, plus the piece sets in flight between
+  // regions; defined in the .cc.
   struct Scratch;
+  // One region's run: the per-region state RunRegion's units share, with
+  // the units as its methods; defined in the .cc.
+  class RegionRun;
 
   // Runs one pipelineable region: `stages` is a run of consecutive plan
   // stages sharing a pipeline_region id (or a single stage — the degenerate
   // region every stage becomes when pipelining is off or the planner found
-  // no region). Depth 0 claims carried sets / splits fresh inputs exactly
-  // like a standalone stage; deeper stages are fed in-flight pieces within
-  // one batch walk, overlapping across the batch loop.
+  // no region). Calls the units listed at the top of this file in order:
+  // depth 0 claims carried sets / splits fresh inputs exactly like a
+  // standalone stage; deeper stages are fed in-flight pieces within one
+  // walk of the task list, overlapping across batches.
   void RunRegion(const std::vector<const Stage*>& stages);
   void RunSerialStage(const Stage& stage);
 
@@ -146,8 +146,6 @@ class Executor {
   ExecOptions opts_;
   EvalStats* stats_;
   std::unique_ptr<Scratch> scratch_;
-  // Piece sets in flight between stages, keyed by the carried slot.
-  std::unordered_map<SlotId, CarriedSet> carried_;
 };
 
 }  // namespace mz

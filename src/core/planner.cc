@@ -834,7 +834,7 @@ void Planner::AnnotateFootprints(Plan* plan) {
 //  4. s writes no slot an in-region stage broadcasts (write-after-read):
 //     that stage's later batches still read the full value while s's
 //     earlier batches would already have rewritten part of it.
-// Regions of length >= 2 get ids and depths; singleton runs stay unmarked
+// Regions of length >= 2 get ids; singleton runs stay unmarked
 // (pipeline_region = -1) and execute exactly as before.
 void Planner::AnnotatePipeline(Plan* plan) {
   const int num_stages = static_cast<int>(plan->stages.size());
@@ -844,7 +844,6 @@ void Planner::AnnotatePipeline(Plan* plan) {
     if (run_end - run_start >= 2) {
       for (int s = run_start; s < run_end; ++s) {
         plan->stages[static_cast<std::size_t>(s)].pipeline_region = next_region;
-        plan->stages[static_cast<std::size_t>(s)].pipeline_depth = s - run_start;
       }
       ++next_region;
     }

@@ -118,11 +118,11 @@ struct Stage {
   // Inter-stage pipeline parallelism (AnnotatePipeline): consecutive stages
   // whose every split input is carried from within the run form a
   // *pipelineable region* — the executor may overlap them across the batch
-  // loop (batch i in stage k while batch i-1 runs stage k+1). -1 / 0 when
-  // the stage is not part of any region. Derived purely from fingerprinted
-  // planner inputs, so cached templates reproduce the schedule exactly.
+  // loop (batch i in stage k while batch i-1 runs stage k+1). -1 when the
+  // stage is not part of any region; a stage's depth is its position in
+  // the region. Derived purely from fingerprinted planner inputs, so cached
+  // templates reproduce the schedule exactly.
   int pipeline_region = -1;  // region id, shared by the region's stages
-  int pipeline_depth = 0;    // position within the region (0 = entry stage)
 };
 
 // A plan references its graph only through PlannedFunc::node_index and
