@@ -26,7 +26,10 @@ repeats="${MOZART_BENCH_REPEATS:-1}"
 benches="${MOZART_BENCH_LIST:-table4_pipelining fig5_overheads fig6_batch_size fig7_intensity stream_throughput concurrency loadgen_serving df_kernels array_kernels}"
 
 cmake -B build -S . -DMZ_SANITIZE=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
-cmake --build build -j "$jobs" --target $benches >/dev/null
+cmake --build build -j "$jobs" --target $benches host_fingerprint >/dev/null
+# The host and build every file's numbers come from (bench/host_fingerprint.cc);
+# scripts/bench_diff.py refuses to compare files whose fingerprints differ.
+fingerprint="$(./build/bench/host_fingerprint)"
 
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
@@ -50,6 +53,7 @@ for rep in $(seq 1 "$repeats"); do
     printf '  "tag": "%s",\n' "$tag"
     printf '  "scale": %s,\n' "$scale"
     printf '  "threads": %s,\n' "$(nproc)"
+    printf '  "fingerprint": %s,\n' "$fingerprint"
     printf '  "metrics": [\n'
     # cat with no files (no selected bench emitted metrics) is fine: awk then
     # sees empty input and the array stays empty rather than killing the

@@ -13,9 +13,15 @@ in scripts/bench.sh), each metric's NEW value is the per-metric median
 across the files: median-of-3 filters the one-off scheduler hiccups that
 dominate single-core CI wall times.
 
-Files measured at a different scale or thread count are not comparable:
-the script exits non-zero, naming both values, when any NEW file's
-"scale" or "threads" differs from OLD's.
+Files measured at a different scale or thread count, or on another host
+or build, are not comparable: the script exits non-zero, naming both
+values, when any NEW file's "scale" or "threads", or a host or build key of
+its "fingerprint" (L2 size, compiler, build type; written by
+scripts/bench.sh), differs from OLD's. The fingerprint's other keys (the
+vecmath code paths) are what a change under test may itself switch, so a
+difference there is printed, not refused; so is a key only one file has. A
+file without a fingerprint (one written before bench.sh stamped them) only
+draws a warning.
 
 Otherwise advisory by design: the exit code is 0 unless the inputs are
 unusable — single-core CI wall times are too noisy to gate on (ROADMAP).
@@ -56,13 +62,32 @@ def load_median(paths):
     return docs, merged
 
 
+# Fingerprint keys that name the host and build; the rest name code paths.
+HOST_KEYS = ("l2_bytes", "compiler", "build_type")
+
+
 def check_comparable(old_path, old_doc, new_paths, new_docs):
-    """Exits non-zero when a NEW file was measured at another scale or thread count."""
+    """Exits non-zero when a NEW file was measured at another scale, thread count or host."""
     for path, doc in zip(new_paths, new_docs):
         for field in ("threads", "scale"):
             if doc.get(field) != old_doc.get(field):
                 sys.exit(f"bench_diff: {field} differs: {old_path} has {old_doc.get(field)}, "
                          f"{path} has {doc.get(field)}; refusing to compare")
+        old_fp, new_fp = old_doc.get("fingerprint"), doc.get("fingerprint")
+        if old_fp is None or new_fp is None:
+            missing = old_path if old_fp is None else path
+            print(f"bench_diff: warning: {missing} has no host fingerprint; "
+                  f"cannot tell whether the hosts match", file=sys.stderr)
+            continue
+        for key in sorted(set(old_fp) | set(new_fp)):
+            o, n = old_fp.get(key), new_fp.get(key)
+            if o == n:
+                continue
+            if key in HOST_KEYS and key in old_fp and key in new_fp:
+                sys.exit(f"bench_diff: fingerprint {key} differs: {old_path} has "
+                         f"{json.dumps(o)}, {path} has {json.dumps(n)}; refusing to compare")
+            print(f"bench_diff: note: fingerprint {key}: {old_path} has {json.dumps(o)}, "
+                  f"{path} has {json.dumps(n)}", file=sys.stderr)
 
 
 def main():

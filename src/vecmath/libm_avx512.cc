@@ -9,7 +9,10 @@
 //    on AVX2+FMA CPUs; the fused steps are marked the same way.
 //  * erf is fdlibm's s_erf.c compiled as plain SSE2 code, so its own
 //    arithmetic has no fused operations; the two exp calls it makes for
-//    1.25 <= |x| < 6 go to the FMA exp above (ExpLanes here).
+//    1.25 <= |x| < 6 go to the FMA exp above (ExpLanes here). Each of its
+//    three ranges is a kernel of its own (ErfSmall, ErfMid, ErfLarge), and
+//    ErfAvx512 sorts the lanes by range before running them (see "erf: range
+//    compaction" below).
 // The build passes -ffp-contract=off so the compiler cannot fuse the
 // separate multiplies and adds either. Lanes outside the ported ranges
 // (NaN, infinities, tiny and huge arguments, zero, negative and subnormal
@@ -54,7 +57,7 @@
 #pragma GCC diagnostic pop
 #endif
 
-#define MZ_AVX512 __attribute__((target("avx512f,fma")))
+#define MZ_AVX512 __attribute__((target("avx512f,fma,popcnt")))
 
 namespace vecmath::internal {
 namespace {
@@ -465,44 +468,61 @@ MZ_AVX512 inline __m512d Log1pLanes(__m512d x, __mmask8* special) {
   return y;
 }
 
-// Per lane, coefficient i of table a where `ra` is set and of table b
-// elsewhere.
-MZ_AVX512 inline __m512d Pick(__mmask8 ra, const double* a, const double* b, int i) {
-  return _mm512_mask_blend_pd(ra, Set(b[i]), Set(a[i]));
+// s * c[i] per lane, where c is table a in the `ra` lanes and table b in
+// the others. Both products are taken and merged rather than the
+// coefficients blended first, so each constant feeds its multiply or add
+// straight from memory and GCC no longer spills blended coefficients.
+MZ_AVX512 inline __m512d MulPick(__m512d s, __mmask8 ra, const double* a, const double* b, int i) {
+  return _mm512_mask_mul_pd(Mul(s, Set(b[i])), ra, s, Set(a[i]));
 }
 // c[i] + s * c[i + 1], with c picked per lane as above.
 MZ_AVX512 inline __m512d Pair(__m512d s, __mmask8 ra, const double* a, const double* b, int i) {
-  return Add(Mul(s, Pick(ra, a, b, i + 1)), Pick(ra, a, b, i));
+  const __m512d m = MulPick(s, ra, a, b, i + 1);
+  return _mm512_mask_add_pd(Add(m, Set(b[i])), ra, m, Set(a[i]));
 }
 
-// fdlibm's erf for 2^-28 <= |x| < 6; `special` gets the other lanes. Each
-// range ends in one division; their numerators and denominators are blended
-// so that a single divide serves all three.
-MZ_AVX512 inline __m512d ErfLanes(__m512d x, __mmask8* special) {
-  const __m512i sign_bit = SetI(std::numeric_limits<std::int64_t>::min());
-  const __m512i bits = _mm512_castpd_si512(x);
-  const __m512d sign = _mm512_castsi512_pd(_mm512_and_si512(bits, sign_bit));
-  const __m512d ax = _mm512_castsi512_pd(_mm512_andnot_si512(sign_bit, bits));
-  const __m512i ix = _mm512_srli_epi64(_mm512_castpd_si512(ax), 32);
-  const __mmask8 small = InRange(ix, kErfTiny, kErfSmall);
-  const __mmask8 mid = InRange(ix, kErfSmall, kErfMid);
-  const __mmask8 large = InRange(ix, kErfMid, kErfBig);
-  *special = Not(small | mid | large);
-  const __m512d one = Set(1.0);
-  __m512d num = one;
-  __m512d den = one;
-  if (small != 0) {
+// The high word of |x| in each lane, which selects erf's range.
+MZ_AVX512 inline __m512i ErfHigh(__m512d x) {
+  return _mm512_srli_epi64(_mm512_castpd_si512(_mm512_abs_pd(x)), 32);
+}
+
+// fdlibm's erf, one kernel per range. Each Lanes() is that range's body of
+// s_erf.c, op for op, for lanes known to lie in the range: high words of
+// |x| in [kLo, kHi). kPad is an argument inside the range, which fills the
+// lanes past the end of a partial vector.
+struct ErfRange {
+  static double Scalar(double x) { return std::erf(x); }
+};
+
+// 2^-28 <= |x| < 0.84375: erf(x) = x + x * (pp(z) / qq(z)), z = x^2.
+struct ErfSmall : ErfRange {
+  static constexpr std::int64_t kLo = kErfTiny;
+  static constexpr std::int64_t kHi = kErfSmall;
+  static constexpr double kPad = 0.5;
+  MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) {
+    *special = 0;
     const __m512d z = Mul(x, x);
     const __m512d z2 = Mul(z, z);
     const __m512d z4 = Mul(z2, z2);
     const __m512d r = Add(Add(MulAdd(z, kPp[1], kPp[0]), Mul(z2, MulAdd(z, kPp[3], kPp[2]))),
                           Mul(z4, Set(kPp[4])));
-    const __m512d s = Add(Add(Add(Mul(z, Set(kQq[1])), one), Mul(z2, MulAdd(z, kQq[3], kQq[2]))),
-                          Mul(z4, MulAdd(z, kQq[5], kQq[4])));
-    num = _mm512_mask_blend_pd(small, num, r);
-    den = _mm512_mask_blend_pd(small, den, s);
+    const __m512d s =
+        Add(Add(Add(Mul(z, Set(kQq[1])), Set(1.0)), Mul(z2, MulAdd(z, kQq[3], kQq[2]))),
+            Mul(z4, MulAdd(z, kQq[5], kQq[4])));
+    return Add(Mul(_mm512_div_pd(r, s), x), x);
   }
-  if (mid != 0) {
+};
+
+// 0.84375 <= |x| < 1.25: erf(x) = ±(erx + pa(s) / qa(s)), s = |x| - 1.
+struct ErfMid : ErfRange {
+  static constexpr std::int64_t kLo = kErfSmall;
+  static constexpr std::int64_t kHi = kErfMid;
+  static constexpr double kPad = 1.0;
+  MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) {
+    *special = 0;
+    const __m512d ax = _mm512_abs_pd(x);
+    const __m512d sign = Xor(x, ax);
+    const __m512d one = Set(1.0);
     const __m512d s = Sub(ax, one);
     const __m512d s2 = Mul(s, s);
     const __m512d s4 = Mul(s2, s2);
@@ -514,11 +534,23 @@ MZ_AVX512 inline __m512d ErfLanes(__m512d x, __mmask8* special) {
         Add(Add(Add(Add(Mul(s, Set(kQa[1])), one), Mul(s2, MulAdd(s, kQa[3], kQa[2]))),
                 Mul(s4, MulAdd(s, kQa[5], kQa[4]))),
             Mul(s6, Set(kQa[6])));
-    num = _mm512_mask_blend_pd(mid, num, p);
-    den = _mm512_mask_blend_pd(mid, den, q);
+    return Xor(Add(_mm512_div_pd(p, q), Set(kErx)), sign);
   }
-  if (large != 0) {
-    const __mmask8 ra = _mm512_cmplt_epu64_mask(ix, SetI(kErfRa));
+};
+
+// 1.25 <= |x| < 6: erf(x) = ±(1 - exp(-z^2 - 0.5625) exp((z - |x|)(z + |x|)
+// + R/S) / |x|). `special` gets the lanes where either exp argument leaves
+// exp's main path, which no argument in the range does (the two arguments
+// stay in [-36.6, -2.1] and [-0.22, -0.023]).
+struct ErfLarge : ErfRange {
+  static constexpr std::int64_t kLo = kErfMid;
+  static constexpr std::int64_t kHi = kErfBig;
+  static constexpr double kPad = 2.0;
+  MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) {
+    const __m512d ax = _mm512_abs_pd(x);
+    const __m512d sign = Xor(x, ax);
+    const __m512d one = Set(1.0);
+    const __mmask8 ra = _mm512_cmplt_epu64_mask(ErfHigh(x), SetI(kErfRa));
     const __m512d s = _mm512_div_pd(one, Mul(ax, ax));
     const __m512d s2 = Mul(s, s);
     const __m512d s4 = Mul(s2, s2);
@@ -528,31 +560,21 @@ MZ_AVX512 inline __m512d ErfLanes(__m512d x, __mmask8* special) {
                               Mul(s4, Pair(s, ra, kRa, kRb, 4))),
                           Mul(s6, Pair(s, ra, kRa, kRb, 6)));
     const __m512d q =
-        Add(Add(Add(Add(Add(Mul(s, Pick(ra, kSa, kSb, 1)), one), Mul(s2, Pair(s, ra, kSa, kSb, 2))),
+        Add(Add(Add(Add(Add(MulPick(s, ra, kSa, kSb, 1), one), Mul(s2, Pair(s, ra, kSa, kSb, 2))),
                     Mul(s4, Pair(s, ra, kSa, kSb, 4))),
                 Mul(s6, Pair(s, ra, kSa, kSb, 6))),
-            Mul(s8, Pick(ra, kSa, kSb, 8)));
-    num = _mm512_mask_blend_pd(large, num, r);
-    den = _mm512_mask_blend_pd(large, den, q);
-  }
-  const __m512d ratio = _mm512_div_pd(num, den);
-  __m512d y = Add(Mul(ratio, x), x);  // the small range's x + x * (r / s)
-  if (mid != 0) {
-    y = _mm512_mask_blend_pd(mid, y, Xor(Add(ratio, Set(kErx)), sign));
-  }
-  if (large != 0) {
+            MulPick(s8, ra, kSa, kSb, 8));
     const __m512d z =
         _mm512_castsi512_pd(_mm512_and_si512(_mm512_castpd_si512(ax), SetI(~0xffffffffLL)));
     __mmask8 special1;
     __mmask8 special2;
     const __m512d e1 = ExpLanes(Sub(Mul(Xor(z, Set(-0.0)), z), Set(0.5625)), &special1);
-    const __m512d e2 = ExpLanes(Add(Mul(Sub(z, ax), Add(z, ax)), ratio), &special2);
-    const __m512d r = Mul(e2, e1);
-    y = _mm512_mask_blend_pd(large, y, Xor(Sub(one, _mm512_div_pd(r, ax)), sign));
-    *special |= (special1 | special2) & large;
+    const __m512d e2 =
+        ExpLanes(Add(Mul(Sub(z, ax), Add(z, ax)), _mm512_div_pd(r, q)), &special2);
+    *special = special1 | special2;
+    return Xor(Sub(one, _mm512_div_pd(Mul(e2, e1), ax)), sign);
   }
-  return y;
-}
+};
 
 struct ExpKernel {
   MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) { return ExpLanes(x, special); }
@@ -561,10 +583,6 @@ struct ExpKernel {
 struct LogKernel {
   MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) { return LogLanes(x, special); }
   static double Scalar(double x) { return std::log(x); }
-};
-struct ErfKernel {
-  MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) { return ErfLanes(x, special); }
-  static double Scalar(double x) { return std::erf(x); }
 };
 struct Log1pKernel {
   MZ_AVX512 static __m512d Lanes(__m512d x, __mmask8* special) { return Log1pLanes(x, special); }
@@ -588,6 +606,9 @@ MZ_AVX512 void StoreLanes(__m512d x, __m512d y, __mmask8 special, __mmask8 live,
   _mm512_mask_storeu_pd(out, live, _mm512_load_pd(ys));
 }
 
+// The first min(k, 8) lanes.
+inline __mmask8 Live(long k) { return k >= 8 ? 0xff : static_cast<__mmask8>((1u << k) - 1); }
+
 template <typename K>
 MZ_AVX512 void Map(long n, const double* a, double* out) {
   long i = 0;
@@ -604,12 +625,137 @@ MZ_AVX512 void Map(long n, const double* a, double* out) {
   if (i < n) {
     // The lanes past the end load 0.5, which every kernel handles in
     // vector form, and are never stored.
-    const auto live = static_cast<__mmask8>((1u << (n - i)) - 1);
+    const __mmask8 live = Live(n - i);
     const __m512d x = _mm512_mask_loadu_pd(Set(0.5), live, a + i);
     __mmask8 special;
     const __m512d y = K::Lanes(x, &special);
     StoreLanes<K>(x, y, special & live, live, out + i);
   }
+}
+
+// ---- erf: range compaction ----
+//
+// erf runs different code in each of its three ranges, and Black Scholes'
+// arguments put lanes of two or three ranges into almost every vector, so a
+// kernel that blends the ranges per vector runs all three bodies, both exp
+// calls and three divides on nearly every vector. ErfAvx512 instead runs
+// each range's kernel only on that range's lanes:
+//  * A run of vectors whose lanes all lie in one range goes straight through
+//    that range's kernel (ErfRun).
+//  * Anything else is taken kErfChunk elements at a time (ErfSorted).
+//    _mm512_maskz_compress_pd packs each vector's lanes of each range into
+//    that range's buffer, each range's kernel runs over its own buffer in
+//    place, and _mm512_mask_expand_pd puts the results back in input order.
+//    Lanes in no range (NaN, infinities, |x| < 2^-28 and |x| >= 6) are packed
+//    the same way into a fourth buffer and go to std::erf.
+// A chunk reads all of its input before it writes any output, and a run
+// reads each vector before writing it, so `out` may alias `a`.
+
+// Elements per sorted chunk: its four buffers (16.5 KiB), input and output
+// stay in L1.
+constexpr int kErfChunk = 512;
+
+// Appends the `m` lanes of x to buf at *n.
+MZ_AVX512 inline void Pack(__mmask8 m, __m512d x, double* buf, int* n) {
+  if (m != 0) {
+    _mm512_storeu_pd(buf + *n, _mm512_maskz_compress_pd(m, x));
+    *n += __builtin_popcount(m);
+  }
+}
+
+// Moves the next popcount(m) values of buf, from *n on, into y's `m` lanes.
+MZ_AVX512 inline __m512d Unpack(__m512d y, __mmask8 m, const double* buf, int* n) {
+  if (m != 0) {
+    y = _mm512_mask_expand_pd(y, m, _mm512_loadu_pd(buf + *n));
+    *n += __builtin_popcount(m);
+  }
+  return y;
+}
+
+// Runs R over buf[0, n) in place, in whole vectors: the last one is padded
+// with R::kPad, for which buf has a vector of room past n.
+template <typename R>
+MZ_AVX512 void EvalInPlace(int n, double* buf) {
+  _mm512_storeu_pd(buf + n, Set(R::kPad));
+  Map<R>((n + 7) & ~7, buf, buf);
+}
+
+// erf of a[0, m), m <= kErfChunk, sorted by range.
+MZ_AVX512 void ErfSorted(int m, const double* a, double* out) {
+  // Each Pack stores, and each Unpack loads, a whole vector at its cursor.
+  alignas(64) double small[kErfChunk + 8];
+  alignas(64) double mid[kErfChunk + 8];
+  alignas(64) double large[kErfChunk + 8];
+  alignas(64) double other[kErfChunk + 8];
+  __mmask8 in_small[kErfChunk / 8];
+  __mmask8 in_mid[kErfChunk / 8];
+  __mmask8 in_large[kErfChunk / 8];
+  __mmask8 in_other[kErfChunk / 8];
+  const int nv = (m + 7) / 8;
+  int n_small = 0;
+  int n_mid = 0;
+  int n_large = 0;
+  int n_other = 0;
+  for (int v = 0; v < nv; ++v) {
+    // The phases of a chunk do not overlap its memory traffic with compute
+    // the way a streaming loop does, so the next chunk's input is fetched
+    // while this one is sorted. The address may lie past the end of `a`,
+    // which a prefetch tolerates; it is formed as an integer for that reason.
+    _mm_prefetch(reinterpret_cast<const char*>(reinterpret_cast<std::uintptr_t>(a + 8 * v) +
+                                               kErfChunk * sizeof(double)),
+                 _MM_HINT_T0);
+    const __mmask8 live = Live(m - 8 * v);
+    const __m512d x = _mm512_maskz_loadu_pd(live, a + 8 * v);
+    const __m512i ix = ErfHigh(x);
+    in_small[v] = InRange(ix, ErfSmall::kLo, ErfSmall::kHi) & live;
+    in_mid[v] = InRange(ix, ErfMid::kLo, ErfMid::kHi) & live;
+    in_large[v] = InRange(ix, ErfLarge::kLo, ErfLarge::kHi) & live;
+    in_other[v] = live & Not(in_small[v] | in_mid[v] | in_large[v]);
+    Pack(in_small[v], x, small, &n_small);
+    Pack(in_mid[v], x, mid, &n_mid);
+    Pack(in_large[v], x, large, &n_large);
+    Pack(in_other[v], x, other, &n_other);
+  }
+  EvalInPlace<ErfSmall>(n_small, small);
+  EvalInPlace<ErfMid>(n_mid, mid);
+  EvalInPlace<ErfLarge>(n_large, large);
+  for (int i = 0; i < n_other; ++i) {
+    other[i] = std::erf(other[i]);
+  }
+  n_small = n_mid = n_large = n_other = 0;
+  for (int v = 0; v < nv; ++v) {
+    __m512d y = _mm512_setzero_pd();
+    y = Unpack(y, in_small[v], small, &n_small);
+    y = Unpack(y, in_mid[v], mid, &n_mid);
+    y = Unpack(y, in_large[v], large, &n_large);
+    y = Unpack(y, in_other[v], other, &n_other);
+    _mm512_mask_storeu_pd(out + 8 * v, Live(m - 8 * v), y);
+  }
+}
+
+// Runs R over the leading vectors of a[0, n) whose live lanes all lie in R's
+// range; returns the number of elements done, 0 if the first vector has a
+// lane outside the range. Sorting handles such vectors too, but its pack and
+// unpack cost 1.3x the blend's time on all-small inputs and 1.15x on
+// all-large ones (in-process A/B on 8 Ki elements); a run pays one range
+// check per vector.
+template <typename R>
+MZ_AVX512 long ErfRun(long n, const double* a, double* out) {
+  for (long i = 0; i < n; i += 8) {
+    const __mmask8 live = Live(n - i);
+    const __m512d x = _mm512_mask_loadu_pd(Set(R::kPad), live, a + i);
+    if (InRange(ErfHigh(x), R::kLo, R::kHi) != 0xff) {
+      return i;
+    }
+    __mmask8 special;
+    const __m512d y = R::Lanes(x, &special);
+    if ((special & live) == 0) {
+      _mm512_mask_storeu_pd(out + i, live, y);
+    } else {
+      StoreLanes<R>(x, y, special & live, live, out + i);
+    }
+  }
+  return n;
 }
 
 // ---- self-check ----
@@ -681,14 +827,23 @@ int LogProbes(double* p) {
   return AddSpecials(p, n);
 }
 
-// A sweep that crosses every range, and both edges of each range boundary.
+// A sweep that crosses every range, both edges of each range boundary, and
+// the sweep again transposed: lane j of vector v holds sweep point
+// v + j kSweep / 8, so each vector spans [-6.25, 6.25] in steps of about
+// 1.56 and mixes ranges, which sends every chunk through erf's compaction.
 int ErfProbes(double* p) {
   int n = AddSweep(-6.25, 6.25, p, 0);
   const std::int64_t boundaries[] = {kErfTiny, kErfSmall, kErfMid, kErfRa, kErfBig};
   for (std::int64_t hi : boundaries) {
     n = AddEdge(D(static_cast<std::uint64_t>(hi) << 32), p, n);
   }
-  return AddSpecials(p, n);
+  n = AddSpecials(p, n);
+  for (int v = 0; v < kSweep / 8; ++v) {
+    for (int j = 0; j < 8; ++j) {
+      p[n++] = p[v + j * (kSweep / 8)];
+    }
+  }
+  return n;
 }
 
 // Sweeps of (-1, 12], one per branch range and two over the k != 0 range
@@ -716,12 +871,14 @@ int Log1pProbes(double* p) {
 
 constexpr int kMaxProbes = 4 * kSweep + 1000;
 
+// Runs the entry point vecmath calls over the probes and compares each
+// output with K::Scalar bit for bit.
 template <typename K>
-bool Matches(int (*probes)(double*)) {
+bool Matches(int (*probes)(double*), void (*kernel)(long, const double*, double*)) {
   const std::unique_ptr<double[]> in(new double[kMaxProbes]);
   const std::unique_ptr<double[]> out(new double[kMaxProbes]);
   const int n = probes(in.get());
-  Map<K>(n, in.get(), out.get());
+  kernel(n, in.get(), out.get());
   for (int i = 0; i < n; ++i) {
     if (std::bit_cast<std::uint64_t>(out[i]) != std::bit_cast<std::uint64_t>(K::Scalar(in[i]))) {
       return false;
@@ -732,25 +889,42 @@ bool Matches(int (*probes)(double*)) {
 
 bool CpuHasAvx512Fma() {
   __builtin_cpu_init();
-  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("popcnt");
 }
 
 }  // namespace
 
 bool LibmAvx512Active() {
-  static const bool active = CpuHasAvx512Fma() && Matches<ExpKernel>(ExpProbes) &&
-                             Matches<LogKernel>(LogProbes) && Matches<ErfKernel>(ErfProbes);
+  static const bool active = CpuHasAvx512Fma() && Matches<ExpKernel>(ExpProbes, ExpAvx512) &&
+                             Matches<LogKernel>(LogProbes, LogAvx512) &&
+                             Matches<ErfRange>(ErfProbes, ErfAvx512);
   return active;
 }
 
 bool Log1pAvx512Active() {
-  static const bool active = CpuHasAvx512Fma() && Matches<Log1pKernel>(Log1pProbes);
+  static const bool active =
+      CpuHasAvx512Fma() && Matches<Log1pKernel>(Log1pProbes, Log1pAvx512);
   return active;
 }
 
 void ExpAvx512(long n, const double* a, double* out) { Map<ExpKernel>(n, a, out); }
 void LogAvx512(long n, const double* a, double* out) { Map<LogKernel>(n, a, out); }
-void ErfAvx512(long n, const double* a, double* out) { Map<ErfKernel>(n, a, out); }
+void ErfAvx512(long n, const double* a, double* out) {
+  for (long i = 0, done = 0; i < n; i += done) {
+    done = ErfRun<ErfSmall>(n - i, a + i, out + i);
+    if (done == 0) {
+      done = ErfRun<ErfMid>(n - i, a + i, out + i);
+    }
+    if (done == 0) {
+      done = ErfRun<ErfLarge>(n - i, a + i, out + i);
+    }
+    if (done == 0) {
+      done = n - i < kErfChunk ? n - i : kErfChunk;
+      ErfSorted(static_cast<int>(done), a + i, out + i);
+    }
+  }
+}
 void Log1pAvx512(long n, const double* a, double* out) { Map<Log1pKernel>(n, a, out); }
 
 }  // namespace vecmath::internal

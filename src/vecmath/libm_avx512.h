@@ -5,6 +5,15 @@
 // and std::log1p return; lanes outside the ported ranges call those
 // functions directly.
 //
+// Exp, Log and Log1p run one kernel over each 8-lane vector. erf's three
+// ranges each have their own polynomial, divide and (above 1.25) two exp
+// calls, and Black Scholes' arguments mix the ranges within nearly every
+// vector, so a per-vector kernel would run all three bodies on each.
+// ErfAvx512 instead sorts each 512-element chunk by range (AVX-512
+// compress), runs each range's kernel only over its own lanes and expands
+// the results back into input order; runs of vectors that lie in one range
+// skip the sorting.
+//
 // Internal to vecmath: vecmath.cc calls these only while their gate
 // (LibmAvx512Active() or Log1pAvx512Active()) holds, and otherwise keeps its
 // scalar libm loop.

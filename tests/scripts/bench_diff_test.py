@@ -4,8 +4,11 @@
 Usage: bench_diff_test.py PATH/TO/bench_diff.py
 
 Writes tiny BENCH documents to a temporary directory and asserts the exit
-codes: matching scale and threads compare (exit 0); a differing "threads"
-or "scale" in any NEW file is refused (non-zero, both values named).
+codes: matching scale, threads and host fingerprint compare (exit 0); a
+differing "threads", "scale" or fingerprint host key in any NEW file is
+refused (non-zero, both values named); a differing vecmath path or a key
+only one file has compares with a note; an OLD file without a fingerprint
+compares with a warning.
 """
 import json
 import os
@@ -14,7 +17,12 @@ import sys
 import tempfile
 
 
-def write_bench(directory, name, threads, scale, seconds):
+FINGERPRINT = {"l2_bytes": 2097152, "compiler": "GNU-12.2.0",
+               "build_type": "RelWithDebInfo", "transcendental_path": "avx512",
+               "log1p_path": "avx512"}
+
+
+def write_bench(directory, name, threads, scale, seconds, fingerprint=FINGERPRINT):
     path = os.path.join(directory, name)
     doc = {
         "schema": "mozart-bench-v1",
@@ -24,6 +32,8 @@ def write_bench(directory, name, threads, scale, seconds):
         "metrics": [{"bench": "b", "workload": "w", "config": "c", "metric": "seconds",
                      "value": seconds, "scale": scale}],
     }
+    if fingerprint is not None:
+        doc["fingerprint"] = fingerprint
     with open(path, "w") as f:
         json.dump(doc, f)
     return path
@@ -45,6 +55,8 @@ def main():
         r = run(script, old, same)
         if r.returncode != 0:
             failures.append(f"matching headers exited {r.returncode}: {r.stderr.strip()}")
+        elif "warning" in r.stderr:
+            failures.append(f"matching fingerprints drew a warning: {r.stderr.strip()}")
 
         r = run(script, old, threads4)
         if r.returncode == 0:
@@ -62,6 +74,41 @@ def main():
         r = run(script, old, same, threads4)
         if r.returncode == 0:
             failures.append("a mismatched second NEW file exited 0")
+
+        clang = write_bench(d, "clang.json", threads=1, scale=1, seconds=2.0,
+                            fingerprint=dict(FINGERPRINT, compiler="Clang-16.0.6"))
+        r = run(script, old, clang)
+        if r.returncode == 0:
+            failures.append("differing fingerprint compiler exited 0")
+        elif ("compiler" not in r.stderr or "GNU-12.2.0" not in r.stderr
+              or "Clang-16.0.6" not in r.stderr):
+            failures.append(f"fingerprint refusal does not name both values: {r.stderr.strip()}")
+
+        # A change under test may move a kernel between its scalar and
+        # vector paths; that is noted, not refused.
+        scalar = write_bench(d, "scalar.json", threads=1, scale=1, seconds=2.0,
+                             fingerprint=dict(FINGERPRINT, transcendental_path="scalar"))
+        r = run(script, old, scalar)
+        if r.returncode != 0:
+            failures.append(f"differing vecmath path exited {r.returncode}: {r.stderr.strip()}")
+        elif ("transcendental_path" not in r.stderr or '"avx512"' not in r.stderr
+              or '"scalar"' not in r.stderr):
+            failures.append(f"differing vecmath path is not noted: {r.stderr.strip()}")
+
+        extra = write_bench(d, "extra.json", threads=1, scale=1, seconds=2.0,
+                            fingerprint=dict(FINGERPRINT, sin_path="avx512"))
+        r = run(script, old, extra)
+        if r.returncode != 0:
+            failures.append(f"a fingerprint key only NEW has exited {r.returncode}: "
+                            f"{r.stderr.strip()}")
+
+        unstamped = write_bench(d, "unstamped.json", threads=1, scale=1, seconds=1.0,
+                                fingerprint=None)
+        r = run(script, unstamped, same)
+        if r.returncode != 0:
+            failures.append(f"OLD without a fingerprint exited {r.returncode}: {r.stderr.strip()}")
+        elif "warning" not in r.stderr or "fingerprint" not in r.stderr:
+            failures.append(f"OLD without a fingerprint did not warn: {r.stderr.strip()}")
 
     for f in failures:
         print(f"FAIL: {f}")

@@ -107,6 +107,24 @@ std::vector<double> Spread(std::uint64_t seed) {
   return v;
 }
 
+// Black Scholes' erf arguments, d1 / sqrt(2) and d2 / sqrt(2) alternately,
+// over the workload's input ranges (workloads::BlackScholes): each 8-lane
+// vector mixes erf's ranges, so Erf's range compaction runs on every chunk.
+std::vector<double> BlackScholesErfArgs(std::uint64_t seed) {
+  const double vol = 0.30;
+  mz::Rng rng(seed);
+  std::vector<double> v(static_cast<std::size_t>(kN) + 8);
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    const double price = rng.NextDouble(20.0, 120.0);
+    const double strike = rng.NextDouble(20.0, 120.0);
+    const double t = rng.NextDouble(0.25, 2.0);
+    const double vol_sqrt = vol * std::sqrt(t);
+    const double d1 = (std::log(price / strike) + (0.02 + 0.5 * vol * vol) * t) / vol_sqrt;
+    v[i] = (i % 2 == 0 ? d1 : d1 - vol_sqrt) / std::sqrt(2.0);
+  }
+  return v;
+}
+
 struct Inputs {
   std::vector<double> a = Mixed(101);
   std::vector<double> b = Mixed(102);
@@ -115,6 +133,7 @@ struct Inputs {
   std::vector<double> r = Spread(105);
   std::vector<double> s = Spread(106);
   std::vector<double> u = Mixed(107, /*all_nans=*/true);  // single-operand kernels
+  std::vector<double> bs = BlackScholesErfArgs(108);
 };
 
 const Inputs& In() {
@@ -141,13 +160,13 @@ std::uint64_t Out(const std::function<void(double*)>& fill) {
   return h.value();
 }
 
-std::uint64_t Unary(UnaryK k) {
-  return Out([k](double* o) { k(kN, In().u.data() + 1, o); });
+std::uint64_t Unary(UnaryK k, const std::vector<double>& in = In().u) {
+  return Out([k, &in](double* o) { k(kN, in.data() + 1, o); });
 }
 // The unary case with `out` aliasing the input, as in MKL's
 // vdLn(n, a, a); it must reproduce the out-of-place digest.
-std::uint64_t UnaryInPlace(UnaryK k) {
-  std::vector<double> io = In().u;
+std::uint64_t UnaryInPlace(UnaryK k, const std::vector<double>& in = In().u) {
+  std::vector<double> io = in;
   k(kN, io.data() + 1, io.data() + 1);
   Fnv1a h;
   h.Doubles(io.data() + 1, kN);
@@ -265,6 +284,9 @@ const std::vector<Case>& Cases() {
       {"vec/Log_inplace", [] { return UnaryInPlace(vecmath::Log); }, 0x8dcee7e368d2fb84ull},
       {"vec/Erf_inplace", [] { return UnaryInPlace(vecmath::Erf); }, 0x57e0dfd4885e0b53ull},
       {"vec/Log1p_inplace", [] { return UnaryInPlace(vecmath::Log1p); }, 0x1f7d0061eca03e3cull},
+      {"vec/Erf_bs", [] { return Unary(vecmath::Erf, In().bs); }, 0x71227c7a82a9a893ull},
+      {"vec/Erf_bs_inplace", [] { return UnaryInPlace(vecmath::Erf, In().bs); },
+       0x71227c7a82a9a893ull},
       {"vec/Sin", [] { return Unary(vecmath::Sin); }, 0x8dc26eabce36814eull},
       {"vec/Cos", [] { return Unary(vecmath::Cos); }, 0xffc5aa6de17c3b4cull},
       {"vec/Tan", [] { return Unary(vecmath::Tan); }, 0xc50e635689d4f16full},

@@ -8,7 +8,8 @@
 // log table index, both sides of every range boundary, random bit patterns
 // (NaN payloads, subnormals, huge values) and the special values. Each set
 // runs out of place and in place, at odd lengths and unaligned offsets, and
-// once through the library's threaded split.
+// once through the library's threaded split. Erf also gets inputs that
+// interleave its ranges lane by lane, at lengths around its chunk size.
 #include <gtest/gtest.h>
 
 #include <barrier>
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <thread>
@@ -245,6 +247,112 @@ TEST(LibmIdentity, LogMatchesStdLog) { CheckKernel("Log", vecmath::Log, StdLog, 
 TEST(LibmIdentity, ErfMatchesStdErf) { CheckKernel("Erf", vecmath::Erf, StdErf, ErfInputs()); }
 TEST(LibmIdentity, Log1pMatchesStdLog1p) {
   CheckKernel("Log1p", vecmath::Log1p, StdLog1p, Log1pInputs());
+}
+
+// Erf sorts the lanes of each chunk by fdlibm range before it evaluates them
+// (ErfAvx512 in libm_avx512.cc), so these inputs interleave the ranges in
+// every way its cursors must track. The lanes fall in five classes: the
+// three vector ranges, the arguments erf leaves to std::erf (|x| >= 6, NaN,
+// infinities) and the tiny ones (|x| < 2^-28, zeros, subnormals), which go
+// to std::erf as well. No argument takes the large range's exp calls off
+// their main path (their arguments stay in [-36.6, -2.1] and
+// [-0.22, -0.023]), so that fallback has no class here.
+enum ErfClass { kErfSmall, kErfMid, kErfLarge, kErfSpecial, kErfTiny, kErfClasses };
+
+constexpr long kErfChunk = 512;  // ErfAvx512's sorted chunk
+
+double ErfClassValue(int c, mz::Rng* rng) {
+  const double sign = rng->NextBool(0.5) ? -1.0 : 1.0;
+  switch (c) {
+    case kErfSmall:
+      return sign * rng->NextDouble(0x1p-20, 0.84375);
+    case kErfMid:
+      return sign * rng->NextDouble(0.84375, 1.25);
+    case kErfLarge:
+      return sign * rng->NextDouble(1.25, 6.0);
+    case kErfSpecial: {
+      const double inf = std::numeric_limits<double>::infinity();
+      const double v[] = {6.0, 6.5, 27.0, 1e300, inf, std::numeric_limits<double>::quiet_NaN()};
+      return sign * v[rng->NextBounded(6)];
+    }
+    default: {
+      const double v[] = {0.0, 0x1p-29, 1e-300, std::numeric_limits<double>::denorm_min()};
+      return sign * v[rng->NextBounded(4)];
+    }
+  }
+}
+
+// Element i of a layout has class layout(i): each layout starts at the call's
+// first element, as the chunks do.
+using ErfLayout = std::function<int(long)>;
+
+std::vector<ErfLayout> ErfLayouts() {
+  std::vector<ErfLayout> layouts;
+  // Lane j of vector v holds class (j + v) mod 5: every vector holds every
+  // class, and every lane position sees every class.
+  layouts.push_back([](long i) { return static_cast<int>((i % 8 + i / 8) % kErfClasses); });
+  for (int r : {kErfSmall, kErfMid, kErfLarge}) {
+    // One range alone: a direct run, then one with a single special lane,
+    // and one where a lane near each chunk's end lies in another range.
+    layouts.push_back([r](long) { return r; });
+    layouts.push_back([r](long i) { return i == kErfChunk / 2 ? int{kErfSpecial} : r; });
+    layouts.push_back([r](long i) { return i % kErfChunk == kErfChunk - 3 ? (r + 1) % 3 : r; });
+    // The other two ranges, irregularly mixed: range r stays empty.
+    layouts.push_back([r](long i) { return (r + 1 + static_cast<int>((i * i + i / 5) % 2)) % 3; });
+  }
+  // 8 + k lanes of one class per chunk, scattered (37 is prime to the chunk
+  // size), the rest of another: the minority's buffer ends k lanes into a
+  // vector, the majority's 8 - k.
+  for (long k = 1; k <= 7; ++k) {
+    for (std::pair<int, int> p : {std::pair{kErfMid, kErfLarge}, std::pair{kErfSmall, kErfMid},
+                                  std::pair{kErfSpecial, kErfSmall}}) {
+      layouts.push_back([k, p](long i) {
+        return (i % kErfChunk) * 37 % kErfChunk < 8 + k ? p.first : p.second;
+      });
+    }
+  }
+  return layouts;
+}
+
+std::vector<double> ErfLayoutValues(const ErfLayout& layout, long n, mz::Rng* rng) {
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (long i = 0; i < n; ++i) {
+    v[static_cast<std::size_t>(i)] = ErfClassValue(layout(i), rng);
+  }
+  return v;
+}
+
+TEST(LibmIdentity, ErfInterleavedRangesMatchStdErf) {
+  mz::Rng rng(17);
+  vecmath::SetNumThreads(1);
+  std::vector<double> all;
+  for (const ErfLayout& layout : ErfLayouts()) {
+    for (long n : {kErfChunk - 1, kErfChunk, kErfChunk + 1, 2 * kErfChunk + 7}) {
+      const std::vector<double> in = ErfLayoutValues(layout, n, &rng);
+      all.insert(all.end(), in.begin(), in.end());
+      for (long offset : {0L, 1L, 3L, 7L}) {
+        std::vector<double> src(static_cast<std::size_t>(offset), 0.5);
+        src.insert(src.end(), in.begin(), in.end());
+        std::vector<double> out(static_cast<std::size_t>(n + offset) + 1, 7.0);
+        vecmath::Erf(n, src.data() + offset, out.data() + offset);
+        ExpectSame("Erf interleaved, out of place", in.data(), out.data() + offset, n, StdErf);
+        EXPECT_EQ(out[static_cast<std::size_t>(n + offset)], 7.0) << "wrote past its end, n=" << n;
+        vecmath::Erf(n, src.data() + offset, src.data() + offset);
+        ExpectSame("Erf interleaved, in place", in.data(), src.data() + offset, n, StdErf);
+      }
+    }
+  }
+  // Every layout again, through the library's threaded split, in place.
+  while (static_cast<long>(all.size()) < 4 * vecmath::kParallelGrain) {
+    const std::vector<double> copy = all;
+    all.insert(all.end(), copy.begin(), copy.end());
+  }
+  vecmath::SetNumThreads(4);
+  std::vector<double> io = all;
+  vecmath::Erf(static_cast<long>(io.size()), io.data(), io.data());
+  ExpectSame("Erf interleaved, threaded", all.data(), io.data(), static_cast<long>(all.size()),
+             StdErf);
+  vecmath::SetNumThreads(0);
 }
 
 // The first Exp/Log/Erf call of a process selects the code path and runs
