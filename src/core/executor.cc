@@ -216,8 +216,8 @@ enum class RebatchOp { kNone, kSubdivide, kCoalesce };
 
 // What one carried buffer can do. Identity streams with a live full value
 // re-slice it at any granularity (pure pointer arithmetic); otherwise
-// pieces subdivide through their own splitter when it declares
-// can_subdivide, and coalesce through their merge.
+// pieces that tile the stream re-cut through their own splitter: a cut
+// inside a piece needs can_subdivide, whole pieces need only its merge.
 struct CarryCap {
   bool identity_full = false;
   const Splitter* full_splitter = nullptr;
@@ -225,20 +225,18 @@ struct CarryCap {
   bool piece_subdivide = false;
 };
 
-// Per-buffer plan: keep, rebuild from the full value, transform piecewise,
-// re-cut from coverage, or materialize.
-enum class CarryMode { kKeep, kRebuild, kPiecewise, kRecut, kMaterialize };
+// Per-buffer plan: keep, rebuild from the full value, re-cut from the
+// pieces that tile the stream, or materialize.
+enum class CarryMode { kKeep, kRebuild, kRecut, kMaterialize };
 
-// One range of the final carried structure, with provenance into the
-// template set's (sorted) ranges: [src_lo, src_hi) source piece indices.
+// One range of the final carried structure.
 struct FinalRange {
   std::int64_t start = 0;
   std::int64_t end = 0;
-  std::size_t src_lo = 0;
-  std::size_t src_hi = 0;
 };
 
-// ReconcileCarried's decisions, read by every worker's transform.
+// ReconcileCarried's decisions, read by every worker's transform. Each
+// worker moves the whole re-cut sources its own final ranges hold.
 struct Rebatch {
   RebatchOp op = RebatchOp::kNone;
   std::vector<CarryCap> caps;                            // [buffer]
@@ -462,12 +460,11 @@ class Executor::RegionRun {
   // Reconciles the carried piece sets with this stage's batch choice
   // (footprint-aware re-batching) and with each other (multi-producer
   // carry chains). The template set's ranges define the stage's final
-  // batch structure; every other carried buffer is brought to that exact
-  // structure — kept as-is, transformed piecewise, rebuilt by re-slicing
-  // an identity stream's full value, re-cut from pieces that tile the
-  // stream exactly, or (last resort) materialized into the slot and
-  // re-split like a fresh input. Sets granularity_ to the largest piece of
-  // the final structure.
+  // batch structure; every carried buffer is brought to that exact
+  // structure — kept as-is when already in it, rebuilt by re-slicing an
+  // identity stream's full value, re-cut from pieces that tile the stream,
+  // or (last resort) materialized into the slot and re-split like a fresh
+  // input. Sets granularity_ to the largest piece of the final structure.
   void ReconcileCarried() {
     Scratch::StageExec& st0 = Entry();
     const std::size_t nb = st0.bufs.size();
@@ -494,11 +491,9 @@ class Executor::RegionRun {
       }
     }
     const CarryCap& tcap = rb.caps[static_cast<std::size_t>(template_buf_)];
-    if (rb.op == RebatchOp::kSubdivide && !(tcap.identity_full || tcap.piece_subdivide)) {
+    if (rb.op != RebatchOp::kNone && !tcap.identity_full &&
+        !CanRecut(tcap, TemplateLists(), rb.op == RebatchOp::kSubdivide)) {
       rb.op = RebatchOp::kNone;  // the structure-defining set cannot re-cut: inherit
-    }
-    if (rb.op == RebatchOp::kCoalesce && !(tcap.identity_full || tcap.piece_splitter != nullptr)) {
-      rb.op = RebatchOp::kNone;
     }
     const std::int64_t max_len = BuildFinalRanges(&rb);
 
@@ -508,41 +503,30 @@ class Executor::RegionRun {
     bool any_rebatch = false;
     int nrecut = 0;
     for (std::size_t i = 0; i < nb; ++i) {
-      if (!st0.bufs[i].carried) {
-        continue;
+      if (!st0.bufs[i].carried || (matches[i] && rb.op == RebatchOp::kNone)) {
+        continue;  // kept: already in the final ranges
       }
+      // Identity streams re-slice straight to the final structure. Other
+      // streams re-cut when their pieces tile it: a set in the template's
+      // layout cuts inside a piece only to subdivide (coalescing merges
+      // whole pieces), a set in another layout may need cuts anywhere.
+      // Everything else materializes (sound: merging at consume time is
+      // what the non-carried path would have done at the boundary).
       const CarryCap& cap = rb.caps[i];
+      PieceTable& lists = st0.bufs[i].carried_in.per_worker;
       CarryMode& mode = rb.modes[i];
-      if (matches[i]) {
-        if (rb.op == RebatchOp::kNone) {
-          mode = CarryMode::kKeep;
-        } else if (cap.identity_full) {
-          mode = CarryMode::kRebuild;
-        } else if (rb.op == RebatchOp::kSubdivide ? cap.piece_subdivide
-                                                  : cap.piece_splitter != nullptr) {
-          mode = CarryMode::kPiecewise;
-        } else {
-          mode = CarryMode::kMaterialize;
-        }
-      } else if (cap.identity_full) {
-        // Different producer, different range structure: re-slice identity
-        // streams straight to the final structure; owned streams whose
-        // pieces provably cover the stream re-cut in place; everything else
-        // materializes (sound: merging at consume time is what the
-        // non-carried path would have done at the boundary).
+      if (cap.identity_full) {
         mode = CarryMode::kRebuild;
-      } else if (cap.piece_splitter != nullptr && cap.piece_subdivide &&
-                 GatherRecutSources(&rb, i)) {
+      } else if (CanRecut(cap, lists, !matches[i] || rb.op == RebatchOp::kSubdivide)) {
         mode = CarryMode::kRecut;
-        ++nrecut;
+        rb.recut_sources[i] = SortedPieces(lists, /*consume=*/true);
+        nrecut += matches[i] ? 0 : 1;
       } else {
         mode = CarryMode::kMaterialize;
+        continue;
       }
-      if (mode == CarryMode::kRebuild || mode == CarryMode::kPiecewise ||
-          mode == CarryMode::kRecut) {
-        any_transform = true;
-        any_rebatch = any_rebatch || (matches[i] && rb.op != RebatchOp::kNone);
-      }
+      any_transform = true;
+      any_rebatch = any_rebatch || (matches[i] && rb.op != RebatchOp::kNone);
     }
 
     for (std::size_t i = 0; i < nb; ++i) {
@@ -1030,7 +1014,7 @@ class Executor::RegionRun {
         std::size_t k = j + 1;
         if (rb->op == RebatchOp::kSubdivide && src[j].start < src[j].end) {
           for (std::int64_t s = src[j].start; s < src[j].end; s += batch_) {
-            dst.push_back({s, std::min(src[j].end, s + batch_), j, k});
+            dst.push_back({s, std::min(src[j].end, s + batch_)});
           }
           j = k;
           continue;
@@ -1039,7 +1023,7 @@ class Executor::RegionRun {
                src[k].start == src[k - 1].end && src[k].end - src[j].start <= batch_) {
           ++k;
         }
-        dst.push_back({src[j].start, src[k - 1].end, j, k});
+        dst.push_back({src[j].start, src[k - 1].end});
         j = k;
       }
       for (const FinalRange& r : dst) {
@@ -1049,33 +1033,34 @@ class Executor::RegionRun {
     return max_len;
   }
 
-  // Coverage-aware re-cut (multi-producer carry chains): a non-matching
-  // set whose pieces tile [0, total) exactly can be re-cut in place to the
-  // template structure through its own splitter — no materialize, no
-  // re-split of a merged value. Gaps, overlaps, or empty pieces fail the
-  // check and fall back to materializing. The sources are shared-holder
-  // copies; the originals stay for that fallback.
-  bool GatherRecutSources(Rebatch* rb, std::size_t i) {
-    std::vector<OrderedPiece> all;
-    for (OrderedPiece& p : SortedPieces(Entry().bufs[i].carried_in.per_worker, false)) {
-      if (p.end <= p.start) {
-        continue;
-      }
-      if (!p.piece.has_value()) {
-        return false;
-      }
-      all.push_back(std::move(p));
-    }
-    if (all.empty() || all.front().start != 0 || all.back().end != total_) {
+  // Coverage check of the re-cut: a set can be re-cut in place to the
+  // final structure through its own splitter — no materialize, no re-split
+  // of a merged value — when its pieces tile [0, total_) exactly and the
+  // splitter can make the cuts (`cuts`: a range boundary may fall inside a
+  // piece, which needs can_subdivide). Gaps, overlaps, empty pieces or a
+  // zero total fail the check, and the set is materialized instead.
+  bool CanRecut(const CarryCap& cap, const PieceTable& table, bool cuts) const {
+    if (cap.piece_splitter == nullptr || (cuts && !cap.piece_subdivide) || total_ <= 0) {
       return false;
     }
-    for (std::size_t k = 1; k < all.size(); ++k) {
-      if (all[k].start != all[k - 1].end) {
-        return false;
+    std::vector<std::pair<std::int64_t, std::int64_t>> ranges;
+    for (const auto& per_worker : table) {
+      for (const OrderedPiece& p : per_worker) {
+        if (p.end <= p.start || !p.piece.has_value()) {
+          return false;
+        }
+        ranges.emplace_back(p.start, p.end);
       }
     }
-    rb->recut_sources[i] = std::move(all);
-    return true;
+    std::sort(ranges.begin(), ranges.end());
+    std::int64_t at = 0;
+    for (const auto& [start, end] : ranges) {
+      if (start != at) {
+        return false;
+      }
+      at = end;
+    }
+    return at == total_;
   }
 
   // Merges carried buffer i's pieces into its slot value and resolves it
@@ -1099,60 +1084,30 @@ class Executor::RegionRun {
   }
 
   // Rebuilds worker w's pieces of carried buffer i to the final ranges.
-  void TransformCarried(const Rebatch& rb, std::size_t i, int w) {
+  void TransformCarried(Rebatch& rb, std::size_t i, int w) {
     const SplitContext ctx{w, threads_};
+    BufExec& b = Entry().bufs[i];
     const auto& ranges = rb.final_ranges[static_cast<std::size_t>(w)];
-    auto& old = Entry().bufs[i].carried_in.per_worker[static_cast<std::size_t>(w)];
     std::vector<OrderedPiece> fresh;
     fresh.reserve(ranges.size());
     for (const FinalRange& r : ranges) {
-      fresh.push_back({r.start, r.end, RebuiltPiece(rb, i, old, r, ctx)});
+      fresh.push_back({r.start, r.end,
+                       rb.modes[i] == CarryMode::kRebuild
+                           ? rb.caps[i].full_splitter->Split(b.full, r.start, r.end, b.params, ctx)
+                           : RecutPiece(rb, i, r, ctx)});
     }
-    old = std::move(fresh);
+    b.carried_in.per_worker[static_cast<std::size_t>(w)] = std::move(fresh);
   }
 
-  Value RebuiltPiece(const Rebatch& rb, std::size_t i, std::vector<OrderedPiece>& old,
-                     const FinalRange& r, const SplitContext& ctx) {
-    BufExec& b = Entry().bufs[i];
-    const CarryCap& cap = rb.caps[i];
-    if (rb.modes[i] == CarryMode::kRebuild) {
-      return cap.full_splitter->Split(b.full, r.start, r.end, b.params, ctx);
-    }
-    if (rb.modes[i] == CarryMode::kRecut) {
-      return RecutPiece(rb, i, r, ctx);
-    }
-    if (rb.op == RebatchOp::kSubdivide) {
-      OrderedPiece& src = old[r.src_lo];
-      if (r.start == src.start && r.end == src.end) {
-        return std::move(src.piece);
-      }
-      return cap.piece_splitter->Split(src.piece, r.start - src.start, r.end - src.start,
-                                       b.params, ctx);
-    }
-    if (r.src_hi - r.src_lo == 1) {  // coalesce
-      return std::move(old[r.src_lo].piece);
-    }
-    std::vector<Value> group;
-    group.reserve(r.src_hi - r.src_lo);
-    for (std::size_t j = r.src_lo; j < r.src_hi; ++j) {
-      group.push_back(std::move(old[j].piece));
-    }
-    // b.full is empty for produced owned streams; a splitter whose Merge
-    // needs the original gets it when the slot still holds one.
-    return cap.piece_splitter->Merge(b.full, std::move(group), MergeParams(0, i));
-  }
-
-  // Cuts [r.start, r.end) out of the sorted covering pieces. The sources
-  // are shared across workers, so whole-piece reuse copies the Value
-  // instead of moving it.
-  Value RecutPiece(const Rebatch& rb, std::size_t i, const FinalRange& r,
-                   const SplitContext& ctx) {
+  // Cuts final range r out of the sorted covering pieces, which all workers
+  // read. A piece wholly inside r lies in no other final range, so it is
+  // moved; a piece a range boundary cuts stays shared and is only read.
+  // r is never empty: empty final ranges come only from empty template
+  // pieces, which exist only at total_ == 0, where CanRecut fails.
+  Value RecutPiece(Rebatch& rb, std::size_t i, const FinalRange& r, const SplitContext& ctx) {
     const BufExec& b = Entry().bufs[i];
     const Splitter* ps = rb.caps[i].piece_splitter;
-    const auto& srcs = rb.recut_sources[i];
-    if (r.start >= r.end) {
-      return ps->Split(srcs.front().piece, 0, 0, b.params, ctx);
-    }
+    auto& srcs = rb.recut_sources[i];
     auto it = std::upper_bound(srcs.begin(), srcs.end(), r.start,
                                [](std::int64_t v, const OrderedPiece& p) { return v < p.end; });
     std::vector<Value> parts;
@@ -1160,12 +1115,14 @@ class Executor::RegionRun {
       const std::int64_t lo = std::max(r.start, it->start);
       const std::int64_t hi = std::min(r.end, it->end);
       parts.push_back(lo == it->start && hi == it->end
-                          ? it->piece
+                          ? std::move(it->piece)
                           : ps->Split(it->piece, lo - it->start, hi - it->start, b.params, ctx));
     }
     if (parts.size() == 1) {
       return std::move(parts.front());
     }
+    // b.full is empty for produced owned streams; a splitter whose Merge
+    // needs the original gets it when the slot still holds one.
     return ps->Merge(b.full, std::move(parts), MergeParams(0, i));
   }
 

@@ -41,16 +41,16 @@
 // inputs plus the planner's splitter-declared hints for produced values and
 // carried pieces (StageBuffer::elem_bytes_hint). When a consuming stage's
 // chosen granularity diverges from its carried pieces by more than 2x, the
-// pieces are re-batched before the stage runs: subdivided (identity streams
-// re-slice the original storage — pointer arithmetic; owned streams
-// re-Split their own pieces when the splitter declares can_subdivide) or
-// coalesced per worker (adjacent pieces merged toward the target batch),
-// preserving order tags and worker affinity.
-// Carried sets whose range structure cannot be reconciled (e.g. a second
-// producer stage under dynamic scheduling) are re-cut when their pieces
-// tile the stream, or else materialized — merged into the slot and
-// re-split like a fresh input — so multi-producer carry chains degrade
-// gracefully instead of erroring.
+// template set's ranges are subdivided or coalesced per worker (adjacent
+// pieces grouped toward the target batch), preserving order tags and
+// worker affinity. Every carried set — including a second producer's
+// under dynamic scheduling — is then brought to those ranges: kept when
+// already in them, re-sliced from an identity stream's full value (pointer
+// arithmetic), re-cut from owned pieces that tile the stream (moving whole
+// pieces, merging groups, and cutting inside a piece only when the
+// splitter declares can_subdivide), or else materialized — merged into the
+// slot and re-split like a fresh input — so multi-producer carry chains
+// degrade gracefully instead of erroring.
 #ifndef MOZART_CORE_EXECUTOR_H_
 #define MOZART_CORE_EXECUTOR_H_
 

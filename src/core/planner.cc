@@ -28,6 +28,20 @@ int Planner::Find(int c) {
   return c;
 }
 
+bool Planner::SameStream(int a, int b) {
+  if (a < 0 || b < 0) {
+    return false;
+  }
+  const int ra = Find(a);
+  const int rb = Find(b);
+  if (ra == rb) {
+    return true;
+  }
+  const Class& ca = classes_[static_cast<std::size_t>(ra)];
+  const Class& cb = classes_[static_cast<std::size_t>(rb)];
+  return ca.bound && cb.bound && ca.type == cb.type;
+}
+
 void Planner::SoftUnify(int a, int b) {
   int ra = Find(a);
   int rb = Find(b);
@@ -385,19 +399,9 @@ Plan Planner::Build(int first_node, int end_node) {
         break_needed = true;  // totals probe: streams of different lengths
         continue;
       }
-      if (it != split_buf.end()) {
-        int buf_cls = cur.buffers[static_cast<std::size_t>(it->second)].class_id;
-        int ra = Find(c);
-        int rb = Find(buf_cls);
-        bool same_stream = ra == rb;
-        if (!same_stream) {
-          const Class& a = classes_[static_cast<std::size_t>(ra)];
-          const Class& b = classes_[static_cast<std::size_t>(rb)];
-          same_stream = a.bound && b.bound && a.type == b.type;
-        }
-        if (!same_stream) {
-          break_needed = true;
-        }
+      if (it != split_buf.end() &&
+          !SameStream(c, cur.buffers[static_cast<std::size_t>(it->second)].class_id)) {
+        break_needed = true;
       }
     }
     if (break_needed) {
@@ -535,21 +539,6 @@ void Planner::AnnotateCarries(Plan* plan) {
   };
   std::vector<Candidate> candidates;
 
-  auto class_root = [&](int cls) { return cls >= 0 ? Find(cls) : -1; };
-  auto same_stream = [&](const StageBuffer& a, const StageBuffer& b) {
-    int ra = class_root(a.class_id);
-    int rb = class_root(b.class_id);
-    if (ra < 0 || rb < 0) {
-      return false;
-    }
-    if (ra == rb) {
-      return true;
-    }
-    const Class& ca = classes_[static_cast<std::size_t>(ra)];
-    const Class& cb = classes_[static_cast<std::size_t>(rb)];
-    return ca.bound && cb.bound && ca.type == cb.type;
-  };
-
   for (int s = 0; s < num_stages; ++s) {
     Stage& st = plan->stages[s];
     if (st.serial) {
@@ -605,12 +594,12 @@ void Planner::AnnotateCarries(Plan* plan) {
         continue;
       }
       const StageBuffer& cb = cstage.buffers[static_cast<std::size_t>(first_cb)];
-      if (!same_stream(b, cb) || cb.params_deferred) {
+      if (!SameStream(b.class_id, cb.class_id) || cb.params_deferred) {
         continue;
       }
 
       const Slot& slot = graph_.slot(b.slot);
-      const int root = class_root(b.class_id);
+      const int root = Find(b.class_id);
       const Class& cls = classes_[static_cast<std::size_t>(root)];
       const bool concrete = cls.bound && !cls.type.is_unknown() && !b.use_default_split &&
                             !b.params_deferred && !b.merge_by_piece_type && b.split_name != 0;
@@ -822,11 +811,12 @@ void Planner::AnnotateFootprints(Plan* plan) {
 // so eligibility is stricter than plain carrying. Stage s extends the
 // region ending at stage s-1 iff:
 //  1. s is non-serial and takes carries;
-//  2. every split-input buffer of s is carry_in, with its producing
-//     carry_out buffer in a stage already in the region (the executor feeds
-//     pieces depth-to-depth inside one batch walk, so any in-region
-//     producer works, including skip-level carries) — a fresh split input
-//     or an out-of-region producer would need the upstream stage complete;
+//  2. every carry_in buffer of s has its producing carry_out buffer in a
+//     stage already in the region (the executor feeds pieces depth-to-depth
+//     inside one batch walk, so any in-region producer works, including
+//     skip-level carries), and no fresh split input of s names a slot an
+//     in-region stage writes — an out-of-region producer or an in-region
+//     written fresh input would need the upstream stage complete;
 //  3. no broadcast buffer of s names a slot any in-region stage writes
 //     (mut or produced): the broadcast reads the *full* value, which is
 //     only final once the writing stage has completely finished — exactly
@@ -853,85 +843,46 @@ void Planner::AnnotatePipeline(Plan* plan) {
   auto writes = [](const StageBuffer& b) {
     return b.is_output || (!b.is_input && !b.is_broadcast);  // mut or produced
   };
-  auto writes_slot = [&](const Stage& st, SlotId slot) {
-    for (const StageBuffer& b : st.buffers) {
-      if (b.slot == slot && writes(b)) {
-        return true;
+  auto broadcasts = [](const StageBuffer& b) { return b.is_broadcast; };
+  auto carries_out = [](const StageBuffer& b) { return b.carry_out; };
+  // Whether a stage of the open run [run_start, s) has a buffer of `slot`
+  // that satisfies `pred`.
+  auto run_has = [&](int s, SlotId slot, const auto& pred) {
+    for (int p = run_start; p < s; ++p) {
+      for (const StageBuffer& b : plan->stages[static_cast<std::size_t>(p)].buffers) {
+        if (b.slot == slot && pred(b)) {
+          return true;
+        }
       }
     }
     return false;
   };
-  auto broadcasts_slot = [&](const Stage& st, SlotId slot) {
-    for (const StageBuffer& b : st.buffers) {
-      if (b.slot == slot && b.is_broadcast) {
-        return true;
-      }
+  // Whether buffer b of stage s keeps s out of the open run.
+  auto breaks_run = [&](int s, const StageBuffer& b) {
+    if (writes(b) && run_has(s, b.slot, broadcasts)) {
+      return true;  // an in-region stage still reads the full value
     }
-    return false;
-  };
-  auto carries_out_slot = [&](const Stage& st, SlotId slot) {
-    for (const StageBuffer& b : st.buffers) {
-      if (b.slot == slot && b.carry_out) {
-        return true;
-      }
+    if (b.is_input && !b.carry_in) {
+      // Fresh split input. Fine as long as no in-region stage produces
+      // the slot: the value is materialized before the region starts,
+      // and the executor splits it by the in-flight batch ranges
+      // (AnnotateCarries only mixes fresh inputs with aligned carried
+      // streams, so the ranges are positional for it too).
+      return run_has(s, b.slot, writes);
     }
-    return false;
+    if (b.is_input && !run_has(s, b.slot, carries_out)) {
+      return true;  // carried from before the region boundary
+    }
+    return b.is_broadcast && run_has(s, b.slot, writes);  // full-value read of an in-flight stream
   };
 
   for (int s = 1; s < num_stages; ++s) {
     const Stage& st = plan->stages[static_cast<std::size_t>(s)];
     const Stage& prev = plan->stages[static_cast<std::size_t>(s - 1)];
-    bool extend = !st.serial && !prev.serial && st.takes_carries && prev.feeds_carries;
-    if (extend) {
-      for (const StageBuffer& b : st.buffers) {
-        if (writes(b)) {
-          for (int p = run_start; p < s && extend; ++p) {
-            extend = !broadcasts_slot(plan->stages[static_cast<std::size_t>(p)], b.slot);
-          }
-          if (!extend) {
-            break;  // an in-region stage still reads the full value
-          }
-        }
-        if (b.is_input && !b.carry_in) {
-          // Fresh split input. Fine as long as no in-region stage produces
-          // the slot: the value is materialized before the region starts,
-          // and the executor splits it by the in-flight batch ranges
-          // (AnnotateCarries only mixes fresh inputs with aligned carried
-          // streams, so the ranges are positional for it too).
-          for (int p = run_start; p < s; ++p) {
-            if (writes_slot(plan->stages[static_cast<std::size_t>(p)], b.slot)) {
-              extend = false;  // produced in-region: needs that stage done
-              break;
-            }
-          }
-          if (!extend) {
-            break;
-          }
-          continue;
-        }
-        if (b.is_input && b.carry_in) {
-          bool in_region = false;
-          for (int p = run_start; p < s && !in_region; ++p) {
-            in_region = carries_out_slot(plan->stages[static_cast<std::size_t>(p)], b.slot);
-          }
-          if (!in_region) {
-            extend = false;  // carried from before the region boundary
-            break;
-          }
-        }
-        if (b.is_broadcast) {
-          for (int p = run_start; p < s; ++p) {
-            if (writes_slot(plan->stages[static_cast<std::size_t>(p)], b.slot)) {
-              extend = false;  // full-value read of an in-flight stream
-              break;
-            }
-          }
-          if (!extend) {
-            break;
-          }
-        }
-      }
-    }
+    const bool extend =
+        !st.serial && !prev.serial && st.takes_carries && prev.feeds_carries &&
+        std::none_of(st.buffers.begin(), st.buffers.end(),
+                     [&](const StageBuffer& b) { return breaks_run(s, b); });
     if (!extend) {
       close_run(s);
     }

@@ -160,6 +160,9 @@ class Planner {
   int NewClass();
   int Find(int c);
   void SoftUnify(int a, int b);
+  // Whether classes a and b (-1 = none) split the same stream: one
+  // inference class, or two bound to the same concrete type.
+  bool SameStream(int a, int b);
 
   // Inference pass: fills arg_classes_ / ret_classes_.
   void InferTypes(int first_node, int end_node);

@@ -60,7 +60,8 @@ struct SplitContext {
 //    piece-local [start, end) coordinates and yields the same value a split
 //    of the original at the corresponding global range would (positional
 //    slices of slices, cheap: pointer offsets, views, O(1) sub-slices).
-//    Enables zero-copy re-batching of carried pieces.
+//    Re-batching cuts inside a carried piece only through it; coalescing
+//    whole carried pieces needs just Merge.
 //  * incremental_merge — Merge is associative *across* invocations: merging
 //    a previous Merge result together with new pieces yields the same value
 //    as one Merge over all the pieces at once. Lets streaming execution

@@ -73,9 +73,10 @@
   /* one overlapped region, worker time spent in the downstream depths of a */ \
   /* region (compute a serial stage order would run after the upstream      */ \
   /* one), the region prologue/epilogue time on the calling thread (the     */ \
-  /* fill/flush cost overlap must amortize), and carried piece sets re-cut  */ \
-  /* in place because their ranges provably tiled the stream (the           */ \
-  /* coverage-aware alternative to materialize + re-split).                 */ \
+  /* fill/flush cost overlap must amortize), and carried piece sets in a    */ \
+  /* layout other than the stage template's re-cut in place because their   */ \
+  /* ranges provably tiled the stream (the alternative to materialize +     */ \
+  /* re-split).                                                             */ \
   X(pipeline_regions, kSum)                                                    \
   X(pipeline_overlap_ns, kSum)                                                 \
   X(fill_flush_ns, kSum)                                                       \

@@ -1,12 +1,13 @@
 // Footprint-aware per-stage batching and carried-piece re-batching.
-// Covers: identity subdivision (zero-copy — pieces alias the original
+// Covers: identity re-slicing (zero-copy — pieces alias the original
 // arrays, verified by in-place results and exercised under ASan),
-// owned-stream subdivision and per-worker coalescing, dynamic-scheduling
-// order restoration over re-cut pieces, zero-element and single-piece edge
-// cases, multi-producer aligned carries (carry chains), coverage-aware
-// re-cutting of dynamically-scheduled multi-producer piece sets (the
-// kRecut alternative to materialize), and warm plan-cache behavioral
-// round-trips of the per-stage batch fields.
+// owned-stream subdivision and per-worker coalescing through the coverage
+// re-cut (coalescing also without can_subdivide), dynamic-scheduling order
+// restoration over re-cut pieces, zero-element and single-piece edge
+// cases, multi-producer aligned carries (carry chains), re-cutting of
+// dynamically-scheduled multi-producer piece sets instead of materializing
+// them, and warm plan-cache behavioral round-trips of the per-stage batch
+// fields.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -292,52 +293,64 @@ TEST(RebatchChains, AlignedCarriesFromTwoProducersBothElide) {
 // concatenates, and pieces may re-Split with piece-local ranges
 // (can_subdivide). Concrete params come from the literal `size` argument,
 // so two producer stages' streams are aligned and BOTH may carry.
+// "TestVecWholeSplit" is the same stream without can_subdivide, like the
+// image and nlp types.
 using Vec = std::vector<double>;
+
+void RegisterVecSplitAs(const char* name, SplitterTraits traits) {
+  Registry& reg = Registry::Global();
+  reg.DefineSplitType(
+      name,
+      [](std::span<const Value> args) -> std::optional<std::vector<std::int64_t>> {
+        if (!args[0].has_value()) {
+          return std::nullopt;  // pending; never happens for literal sizes
+        }
+        return std::vector<std::int64_t>{ValueToInt64(args[0])};
+      },
+      [](const Value& v) {
+        return std::vector<std::int64_t>{static_cast<std::int64_t>(v.As<Vec>().size())};
+      });
+  RegisterTypedSplitter<Vec>(
+      reg, name,
+      [](const Vec& v, std::span<const std::int64_t> params) {
+        return RuntimeInfo{params.empty() ? static_cast<std::int64_t>(v.size()) : params[0],
+                           static_cast<std::int64_t>(sizeof(double))};
+      },
+      [](const Vec& v, std::int64_t start, std::int64_t end,
+         std::span<const std::int64_t> params, const SplitContext& ctx) {
+        (void)params;
+        (void)ctx;
+        return Value::Make<Vec>(Vec(v.begin() + start, v.begin() + end));
+      },
+      [](const Value& original, std::vector<Value> pieces,
+         std::span<const std::int64_t> params) {
+        (void)original;
+        (void)params;
+        Vec out;
+        for (Value& p : pieces) {
+          const Vec& v = p.As<Vec>();
+          out.insert(out.end(), v.begin(), v.end());
+        }
+        return Value::Make<Vec>(std::move(out));
+      },
+      traits);
+}
 
 void RegisterVecSplit() {
   static const bool done = [] {
-    Registry& reg = Registry::Global();
-    reg.DefineSplitType(
-        "TestVecSplit",
-        [](std::span<const Value> args) -> std::optional<std::vector<std::int64_t>> {
-          if (!args[0].has_value()) {
-            return std::nullopt;  // pending; never happens for literal sizes
-          }
-          return std::vector<std::int64_t>{ValueToInt64(args[0])};
-        },
-        [](const Value& v) {
-          return std::vector<std::int64_t>{static_cast<std::int64_t>(v.As<Vec>().size())};
-        });
-    RegisterTypedSplitter<Vec>(
-        reg, "TestVecSplit",
-        [](const Vec& v, std::span<const std::int64_t> params) {
-          return RuntimeInfo{params.empty() ? static_cast<std::int64_t>(v.size()) : params[0],
-                             static_cast<std::int64_t>(sizeof(double))};
-        },
-        [](const Vec& v, std::int64_t start, std::int64_t end,
-           std::span<const std::int64_t> params, const SplitContext& ctx) {
-          (void)params;
-          (void)ctx;
-          return Value::Make<Vec>(Vec(v.begin() + start, v.begin() + end));
-        },
-        [](const Value& original, std::vector<Value> pieces,
-           std::span<const std::int64_t> params) {
-          (void)original;
-          (void)params;
-          Vec out;
-          for (Value& p : pieces) {
-            const Vec& v = p.As<Vec>();
-            out.insert(out.end(), v.begin(), v.end());
-          }
-          return Value::Make<Vec>(std::move(out));
-        },
-        SplitterTraits{.can_subdivide = true});
+    RegisterVecSplitAs("TestVecSplit", SplitterTraits{.can_subdivide = true});
+    RegisterVecSplitAs("TestVecWholeSplit", SplitterTraits{});
     return true;
   }();
   (void)done;
 }
 
+// The test stream's split name: TestVecWholeSplit when kWhole.
+template <bool kWhole>
+constexpr const char* kVecSplit = kWhole ? "TestVecWholeSplit" : "TestVecSplit";
+
 // Narrow producer: one in, one out.
+template <bool kWhole = false>
 const Annotated<Vec(long, const Vec&)>& VecScale() {
   RegisterVecSplit();
   static const Annotated<Vec(long, const Vec&)> fn(
@@ -348,16 +361,17 @@ const Annotated<Vec(long, const Vec&)>& VecScale() {
         }
         return out;
       },
-      AnnotationBuilder("rebatch_test.vec_scale")
+      AnnotationBuilder(kWhole ? "rebatch_test.vec_scale_whole" : "rebatch_test.vec_scale")
           .Arg("size", Split("SizeSplit", {"size"}))
-          .Arg("v", Split("TestVecSplit", {"size"}))
-          .Returns(Split("TestVecSplit", {"size"}))
+          .Arg("v", Split(kVecSplit<kWhole>, {"size"}))
+          .Returns(Split(kVecSplit<kWhole>, {"size"}))
           .Build());
   return fn;
 }
 
 // Wide producer: three inputs live per element, so its footprint-derived
 // batch (and hence its carried piece structure) differs from VecScale's.
+template <bool kWhole = false>
 const Annotated<Vec(long, const Vec&, const Vec&, const Vec&)>& VecAdd3() {
   RegisterVecSplit();
   static const Annotated<Vec(long, const Vec&, const Vec&, const Vec&)> fn(
@@ -369,12 +383,12 @@ const Annotated<Vec(long, const Vec&, const Vec&, const Vec&)>& VecAdd3() {
         }
         return out;
       },
-      AnnotationBuilder("rebatch_test.vec_add3")
+      AnnotationBuilder(kWhole ? "rebatch_test.vec_add3_whole" : "rebatch_test.vec_add3")
           .Arg("size", Split("SizeSplit", {"size"}))
-          .Arg("a", Split("TestVecSplit", {"size"}))
-          .Arg("b", Split("TestVecSplit", {"size"}))
-          .Arg("c", Split("TestVecSplit", {"size"}))
-          .Returns(Split("TestVecSplit", {"size"}))
+          .Arg("a", Split(kVecSplit<kWhole>, {"size"}))
+          .Arg("b", Split(kVecSplit<kWhole>, {"size"}))
+          .Arg("c", Split(kVecSplit<kWhole>, {"size"}))
+          .Returns(Split(kVecSplit<kWhole>, {"size"}))
           .Build());
   return fn;
 }
@@ -442,6 +456,39 @@ TEST(RebatchChains, DynamicMultiProducerCarriesRecutInPlace) {
   // of materializing.
   EXPECT_GE(s.boundaries_elided, 2);
   EXPECT_GE(s.carried_recuts, 1);
+}
+
+TEST(RebatchOwned, CoalescingNeedsNoSubdivide) {
+  // Wide producer (5 vector buffers live) → narrow consumer (2) over an
+  // owned stream whose splitter cannot re-Split pieces: the consumer's
+  // batch is 2.5× the carried granularity. Coalescing merges whole carried
+  // pieces, so the set still re-batches instead of materializing.
+  const long n = std::max<long>(100000, 8 * static_cast<long>(L2CacheBytes()) / 40);
+  Vec a(static_cast<std::size_t>(n));
+  Vec b(static_cast<std::size_t>(n), 1.0), c(static_cast<std::size_t>(n), 2.0);
+  for (long i = 0; i < n; ++i) {
+    a[static_cast<std::size_t>(i)] = static_cast<double>(i % 50);
+  }
+  Runtime rt(Opts());
+  Vec got;
+  {
+    RuntimeScope scope(&rt);
+    Future<Vec> r = [&] {
+      auto x = VecAdd3<true>()(n, a, b, c);  // stage A: a, b, c, x, p live
+      auto p = VecAdd3<true>()(n, x, b, c);
+      Tick()(1);
+      return VecScale<true>()(n, p);  // stage B: p carried, r
+    }();
+    got = r.get();
+  }
+  Vec want(static_cast<std::size_t>(n));
+  for (std::size_t j = 0; j < want.size(); ++j) {
+    want[j] = 2.0 * (a[j] + 2.0 * (b[j] + c[j]));
+  }
+  EXPECT_EQ(got, want);
+  EvalStats::Snapshot s = rt.stats().Take();
+  EXPECT_GE(s.boundaries_elided, 1);
+  EXPECT_EQ(s.stages_rebatched, 1);
 }
 
 TEST(RebatchChains, IdentityPipelineChainsAllBoundaries) {

@@ -305,13 +305,14 @@ TEST(EvalStreamTest, LeakedFutureThrowsOnReset) {
   src.Push(mz::Value::Make<Column>(MakeColumn(64)));
   src.Close();
 
-  std::optional<mz::Future<Column>> leaked;
+  mz::Future<Column> leaked;
   EXPECT_THROW(rt.EvalStream(src, {.window = 32},
                              [&](const mz::Value& win, std::int64_t) {
-                               leaked.emplace(mzdf::ColAddC(win.As<Column>(), 1.0));
+                               leaked = mzdf::ColAddC(win.As<Column>(), 1.0);
                              }),
                mz::Error);
-  leaked.reset();  // drop the external ref against the cleared graph
+  EXPECT_TRUE(leaked.valid());
+  leaked = mz::Future<Column>();  // drop the external ref against the cleared graph
 }
 
 TEST(EvalStreamTest, ThreadedProducerConsumer) {
