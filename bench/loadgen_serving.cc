@@ -1,7 +1,7 @@
 // Closed-loop serving load generator: adversarial multi-tenant traffic over
-// one ServingContext. Experiments 2 and 4–6 are ablation pairs, so a policy
-// and its baseline land in the same BENCH json; 1 and 3 measure the single
-// admission and cache-accounting policy the runtime ships:
+// one ServingContext. Experiments 4–6 are ablation pairs, so a policy and
+// its baseline land in the same BENCH json; 1–3 measure the single
+// admission, batch-window and cache-accounting policy the runtime ships:
 //
 //  1. Fairness under a chatty neighbor — 4 chatty tenants x 3 connections
 //     each vs. 12 sparse single-connection tenants, every connection a
@@ -17,15 +17,15 @@
 //
 //  2. Lone client vs. the batch window — an OPEN arrival process (the
 //     client paces submissions with exponential think time, independent of
-//     completions) against a 400 us coalescing window. With the fixed
-//     window every evaluation is a rider-less leader sleeping out the full
-//     window; the arrival-rate-adaptive window predicts no rider and
-//     collapses the wait. Reported: per-eval latency percentiles and the
-//     total adapted window the leaders actually chose.
+//     completions) against a 400 us coalescing window. Every evaluation is
+//     a rider-less leader; the arrival-rate-adaptive window predicts no
+//     rider and skips the wait (a fixed window slept the full 400 us: p50
+//     509–519 us against 23–27 us, BENCH_PR10). Reported: per-eval latency
+//     percentiles and the total window the leaders actually chose.
 //
 //  3. Plan-cache byte budget — a stream of distinct plan templates against
 //     one 64 KiB budget. The cache charges what the entries really allocate
-//     (capacity slack, allocator rounding, string buffers). Reported:
+//     (capacity slack, allocator rounding). Reported:
 //     resident entries, charged bytes and evictions.
 //
 //  4. Deadline-bearing clients, shedding on vs. off (ISSUE 9) — 12 closed-
@@ -46,7 +46,7 @@
 // each tenant's *share* of a saturated resource, which is what a fairness
 // index needs. Experiment 2 is OPEN-loop — arrivals are paced externally,
 // so latency includes the queueing a real lone client would see, which is
-// what a window-policy comparison needs. Wall-clock columns are noisy on
+// what a batch-window latency needs. Wall-clock columns are noisy on
 // single-core CI (ROADMAP); read shares, routing counts, and ratios.
 #include <algorithm>
 #include <atomic>
@@ -201,14 +201,13 @@ struct LoneClientResult {
   std::int64_t dispatches = 0;
 };
 
-LoneClientResult RunLoneClient(bool adaptive, long n, int evals) {
+LoneClientResult RunLoneClient(long n, int evals) {
   mz::ServingOptions serving;
   serving.pool_threads = 2;
   serving.max_pool_sessions = 2;
   serving.serial_cutoff_elems = 1 << 20;  // inline-class: everything rides the batcher
   serving.batch_window_us = 400;
   serving.batch_max_plans = 8;
-  serving.adaptive_batch_window = adaptive;
   mz::ServingContext ctx(serving);
 
   LoneClientResult res;
@@ -651,12 +650,11 @@ int main() {
   bench::Title("Lone client vs. a 400 us batch window, open arrivals (mean 1.5 ms apart)");
   const int evals = static_cast<int>(std::max<long>(20, bench::Scaled(300)));
   bench::Note(std::to_string(evals) + " evaluations of a 1024-elem inline-class plan; the "
-              "fixed window sleeps 400 us per rider-less leader, the adaptive window "
-              "predicts no rider and skips the wait");
-  for (bool adaptive : {false, true}) {
-    const std::string config = adaptive ? "adaptive_window" : "fixed_window";
+              "adaptive window predicts no rider and skips the wait");
+  {
+    const std::string config = "adaptive_window";
     // n deliberately NOT scaled: must stay inline-class at every bench scale.
-    LoneClientResult r = RunLoneClient(adaptive, /*n=*/1024, evals);
+    LoneClientResult r = RunLoneClient(/*n=*/1024, evals);
     std::printf("  %-16s lat p50/p95/p99 %8.1f %8.1f %8.1f us   adapted window total %lld us"
                 "   %lld dispatches\n",
                 config.c_str(), Pct(r.lat_us, 50), Pct(r.lat_us, 95), Pct(r.lat_us, 99),

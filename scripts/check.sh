@@ -80,9 +80,12 @@ if (( tsan )); then
   # `vecmath` adds the concurrent first Erf call (the once-only AVX-512 path
   # self-check). lazy_heap_test is excluded: the lazy heap evaluates inside a SIGSEGV
   # handler by design (§4.1 protected memory), which trips TSan's
-  # signal-safety checker — a design property, not a data race.
+  # signal-safety checker — a design property, not a data race. The
+  # batch-collector and deadline suites open batch windows from real arrival
+  # gaps, so they run five more times to surface a timing flake.
   echo "== sanitize: -DMZ_SANITIZE=thread (TSan, labels core|common|serving|matrix|dataframe|vecmath) =="
   cmake -B build-tsan -S . -DMZ_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   (cd build-tsan && ctest --output-on-failure -j "$jobs" -L "core|common|serving|matrix|dataframe|vecmath" -E lazy_heap)
+  (cd build-tsan && ctest --output-on-failure -R "batch_collector_test|deadline_test" --repeat until-fail:5)
 fi

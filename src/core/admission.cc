@@ -105,27 +105,17 @@ AdmissionGate::Ticket AdmissionGate::Acquire(std::uint64_t session, int weight,
   if (ScheduleLocked()) {
     cv_.notify_all();
   }
-  if (!cancel.has_state()) {
-    cv_.wait(lock, [&] { return self.admitted || draining_; });
-    if (!self.admitted) {
-      // Drain began while queued: withdraw exactly like a timed-out waiter
-      // (grants serialize on mu_, so an admitted waiter keeps its token and
-      // finishes its evaluation — drain waits for the release).
-      RemoveWaiterLocked(session, &self);
-      --waiting_;
-      throw OverloadError("admission gate draining; queued request rejected",
-                          OverloadError::Kind::kDraining, 0);
-    }
-    return Ticket(this, session, NowNanos());
-  }
-  // Timed/cancellable wait. Grants and withdrawals both happen under mu_,
-  // and `admitted` is re-checked before withdrawing, so a granted token can
-  // never be abandoned (the leak the chaos battery asserts against).
-  // Cancel() has no condition variable to poke, so the wait wakes every few
-  // ms to observe it; the deadline bounds the wait exactly.
+  // Grants and withdrawals both happen under mu_, and `admitted` is
+  // re-checked before withdrawing, so a granted token can never be
+  // abandoned (the leak the chaos battery asserts against); an admitted
+  // waiter keeps its token through a drain and finishes its evaluation.
+  // Cancel() has no condition variable to poke, so a cancellable wait wakes
+  // every few ms to observe it and the deadline bounds it exactly; an inert
+  // token waits untimed for its grant or a drain.
   constexpr std::int64_t kCancelPollNs = 5'000'000;
+  auto settled = [&] { return self.admitted || draining_; };
   while (!self.admitted) {
-    const std::int64_t now = NowNanos();
+    const std::int64_t now = cancel.has_state() ? NowNanos() : 0;
     const bool cancelled = cancel.cancelled();
     if (cancelled || draining_ || (deadline_ns > 0 && now >= deadline_ns)) {
       RemoveWaiterLocked(session, &self);
@@ -139,12 +129,15 @@ AdmissionGate::Ticket AdmissionGate::Acquire(std::uint64_t session, int weight,
       }
       throw DeadlineError("deadline expired while waiting for admission");
     }
+    if (!cancel.has_state()) {
+      cv_.wait(lock, settled);
+      continue;
+    }
     std::int64_t wake_ns = now + kCancelPollNs;
     if (deadline_ns > 0) {
       wake_ns = std::min(wake_ns, deadline_ns);
     }
-    cv_.wait_for(lock, std::chrono::nanoseconds(wake_ns - now),
-                 [&] { return self.admitted || draining_; });
+    cv_.wait_for(lock, std::chrono::nanoseconds(wake_ns - now), settled);
   }
   return Ticket(this, session, NowNanos());
 }
@@ -187,98 +180,63 @@ std::int64_t AdmissionGate::ewma_hold_ns() const {
 }
 
 void AdmissionGate::SetQuota(std::uint64_t session, double evals_per_sec, double burst) {
-  std::lock_guard<std::mutex> lock(mu_);
-  QuotaBucket& b = quotas_[session];
-  b.rate = std::max(0.0, evals_per_sec);
-  b.burst = burst > 0.0 ? burst : std::max(1.0, b.rate * 0.25);
-  if (b.refs == 0) {
-    b.tokens = b.burst;  // fresh bucket starts full
-    b.last_refill_ns = NowNanos();
-  }
-  b.tokens = std::min(b.tokens, b.burst);
-  ++b.refs;
+  SetBucket(quotas_, session, evals_per_sec, burst);
 }
 
-void AdmissionGate::DropQuota(std::uint64_t session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = quotas_.find(session);
-  if (it == quotas_.end()) {
-    return;
-  }
-  if (--it->second.refs <= 0) {
-    quotas_.erase(it);
-  }
-}
+void AdmissionGate::DropQuota(std::uint64_t session) { DropBucket(quotas_, session); }
 
 void AdmissionGate::ChargeQuota(std::uint64_t session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (draining_) {
-    throw OverloadError("admission gate draining; no new work admitted",
-                        OverloadError::Kind::kDraining, 0);
-  }
-  auto it = quotas_.find(session);
-  if (it == quotas_.end()) {
-    return;  // no quota installed for this tenant
-  }
-  QuotaBucket& b = it->second;
-  const std::int64_t now = NowNanos();
-  if (b.rate > 0.0 && now > b.last_refill_ns) {
-    b.tokens = std::min(b.burst,
-                        b.tokens + static_cast<double>(now - b.last_refill_ns) * 1e-9 * b.rate);
-  }
-  b.last_refill_ns = now;
-  if (b.tokens >= 1.0) {
-    b.tokens -= 1.0;
-    return;
-  }
-  // Empty (or zero-rate) bucket: reject with the time until one token
-  // accrues — the same structured backpressure signal shedding uses.
-  const std::int64_t retry_us =
-      b.rate > 0.0 ? static_cast<std::int64_t>(std::ceil((1.0 - b.tokens) / b.rate * 1e6))
-                   : std::numeric_limits<std::int64_t>::max();
-  throw OverloadError((internal::MessageStream() << "tenant " << session
-                                                 << " rate quota exhausted (" << b.rate
-                                                 << " evals/s, burst " << b.burst << ")")
-                          .str(),
-                      OverloadError::Kind::kQuota, retry_us);
+  ChargeBucket(quotas_, session, 1, "evals");
 }
 
 void AdmissionGate::SetByteQuota(std::uint64_t session, double bytes_per_sec, double burst) {
-  std::lock_guard<std::mutex> lock(mu_);
-  QuotaBucket& b = byte_quotas_[session];
-  b.rate = std::max(0.0, bytes_per_sec);
-  b.burst = burst > 0.0 ? burst : std::max(1.0, b.rate * 0.25);
-  if (b.refs == 0) {
-    b.tokens = b.burst;  // fresh bucket starts full
-    b.last_refill_ns = NowNanos();
-  }
-  b.tokens = std::min(b.tokens, b.burst);
-  ++b.refs;
+  SetBucket(byte_quotas_, session, bytes_per_sec, burst);
 }
 
-void AdmissionGate::DropByteQuota(std::uint64_t session) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = byte_quotas_.find(session);
-  if (it == byte_quotas_.end()) {
-    return;
-  }
-  if (--it->second.refs <= 0) {
-    byte_quotas_.erase(it);
-  }
-}
+void AdmissionGate::DropByteQuota(std::uint64_t session) { DropBucket(byte_quotas_, session); }
 
 void AdmissionGate::ChargeBytes(std::uint64_t session, std::int64_t bytes) {
   if (bytes <= 0) {
     return;  // unsized plans (and zero-byte ones) are not charged
   }
+  ChargeBucket(byte_quotas_, session, bytes, "bytes");
+}
+
+void AdmissionGate::SetBucket(QuotaMap& buckets, std::uint64_t session, double rate,
+                              double burst) {
+  std::lock_guard<std::mutex> lock(mu_);
+  QuotaBucket& b = buckets[session];
+  b.rate = std::max(0.0, rate);
+  b.burst = burst > 0.0 ? burst : std::max(1.0, b.rate * 0.25);
+  if (b.refs == 0) {
+    b.tokens = b.burst;  // fresh bucket starts full
+    b.last_refill_ns = NowNanos();
+  }
+  b.tokens = std::min(b.tokens, b.burst);
+  ++b.refs;
+}
+
+void AdmissionGate::DropBucket(QuotaMap& buckets, std::uint64_t session) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = buckets.find(session);
+  if (it == buckets.end()) {
+    return;
+  }
+  if (--it->second.refs <= 0) {
+    buckets.erase(it);
+  }
+}
+
+void AdmissionGate::ChargeBucket(QuotaMap& buckets, std::uint64_t session, std::int64_t amount,
+                                 const char* unit) {
   std::lock_guard<std::mutex> lock(mu_);
   if (draining_) {
     throw OverloadError("admission gate draining; no new work admitted",
                         OverloadError::Kind::kDraining, 0);
   }
-  auto it = byte_quotas_.find(session);
-  if (it == byte_quotas_.end()) {
-    return;  // no byte quota installed for this tenant
+  auto it = buckets.find(session);
+  if (it == buckets.end()) {
+    return;  // no quota of this kind installed for this tenant
   }
   QuotaBucket& b = it->second;
   const std::int64_t now = NowNanos();
@@ -287,24 +245,26 @@ void AdmissionGate::ChargeBytes(std::uint64_t session, std::int64_t bytes) {
                         b.tokens + static_cast<double>(now - b.last_refill_ns) * 1e-9 * b.rate);
   }
   b.last_refill_ns = now;
-  const double need = static_cast<double>(bytes);
-  // Normal charge, or the oversized-plan escape hatch: a plan bigger than
-  // the whole burst admits once the bucket is full, leaving the bucket in
-  // debt. Debt self-repays at `rate`, so oversized plans still pace at the
-  // configured average byte rate instead of being unservable forever.
+  const double need = static_cast<double>(amount);
+  // Normal charge, or the oversized-request escape hatch: a request bigger
+  // than the whole burst admits once the bucket is full, leaving the bucket
+  // in debt. Debt self-repays at `rate`, so oversized requests still pace
+  // at the configured average rate instead of being unservable forever.
   if (b.tokens >= need || (need > b.burst && b.tokens >= b.burst)) {
     b.tokens -= need;
     return;
   }
-  // The honest refill time: bytes still missing before THIS request (capped
-  // at a full bucket for oversized plans) could admit.
+  // The honest refill time: what is still missing before THIS request
+  // (capped at a full bucket for oversized ones) could admit — the same
+  // structured backpressure signal shedding uses.
   const double missing = std::min(need, b.burst) - b.tokens;
   const std::int64_t retry_us =
       b.rate > 0.0 ? static_cast<std::int64_t>(std::ceil(missing / b.rate * 1e6))
                    : std::numeric_limits<std::int64_t>::max();
   throw OverloadError((internal::MessageStream()
-                       << "tenant " << session << " byte quota exhausted (plan " << bytes
-                       << " bytes, " << b.rate << " B/s, burst " << b.burst << ")")
+                       << "tenant " << session << " quota exhausted (" << amount << " " << unit
+                       << " requested, " << b.rate << " " << unit << "/s, burst " << b.burst
+                       << ")")
                           .str(),
                       OverloadError::Kind::kQuota, retry_us);
 }

@@ -56,16 +56,15 @@
 //    and waiting() introspection stay exact, and "granted concurrently with
 //    giving up" is impossible — grants and give-ups serialize on the gate
 //    mutex, and the waiter re-checks `admitted` before withdrawing.
-//  * Per-tenant rate quotas: SetQuota installs a token bucket per session
-//    id; ChargeQuota debits one evaluation and throws
-//    OverloadError{retry_after_us} when the bucket is empty. Buckets are
-//    refcounted by SetQuota/DropQuota so multi-connection tenants sharing
-//    an id share one bucket.
-//  * Per-tenant byte quotas: the same bucket shape denominated in bytes.
-//    ChargeBytes debits a plan's PlanSizeEstimate bytes; a plan bigger than
-//    the burst is admitted once the bucket is full and driven into debt, so
-//    oversized-but-legitimate plans still pace at the average rate instead
-//    of deadlocking. SetByteQuota/DropByteQuota refcount like the rate side.
+//  * Per-tenant quotas: SetQuota / SetByteQuota install a token bucket per
+//    session id, denominated in evaluations or in bytes. ChargeQuota debits
+//    one evaluation, ChargeBytes a plan's PlanSizeEstimate bytes; an empty
+//    bucket throws OverloadError{retry_after_us}. One bucket implementation
+//    serves both: a request bigger than the burst is admitted once the
+//    bucket is full and driven into debt, so oversized-but-legitimate
+//    requests still pace at the average rate instead of deadlocking.
+//    Buckets are refcounted by Set*/Drop* so multi-connection tenants
+//    sharing an id share one bucket.
 //
 // Graceful drain (ISSUE 10): BeginDrain() flips a terminal draining flag —
 // every subsequent Acquire (and every waiter already queued, which is woken
@@ -175,7 +174,9 @@ class AdmissionGate {
   // burst from the rate) and takes a reference; DropQuota releases one —
   // the bucket disappears with its last reference. ChargeQuota debits one
   // evaluation, throwing OverloadError{retry_after_us} when the bucket is
-  // empty; sessions with no bucket installed are never charged.
+  // empty; a burst below one evaluation admits from a full bucket and
+  // leaves it in debt, like an oversized ChargeBytes. Sessions with no
+  // bucket installed are never charged.
   void SetQuota(std::uint64_t session, double evals_per_sec, double burst = 0.0);
   void DropQuota(std::uint64_t session);
   void ChargeQuota(std::uint64_t session);
@@ -244,13 +245,16 @@ class AdmissionGate {
     int weight = 1;
   };
 
+  // Token bucket in evaluations or bytes; tokens go negative while an
+  // oversized request's debt repays.
   struct QuotaBucket {
-    double rate = 0.0;   // evals per second
+    double rate = 0.0;   // units per second
     double burst = 1.0;  // bucket capacity
     double tokens = 0.0;
     std::int64_t last_refill_ns = 0;
     int refs = 0;
   };
+  using QuotaMap = std::unordered_map<std::uint64_t, QuotaBucket>;
 
   void ReleaseToken(std::int64_t grant_ns);
   void RecomputeLocked();   // effective budget/cutoff from ewma_depth_
@@ -259,6 +263,13 @@ class AdmissionGate {
   // session queue, keeping the DRR rotation consistent.
   void RemoveWaiterLocked(std::uint64_t session, Waiter* waiter);
   std::int64_t EstimatedWaitNanosLocked() const;
+  // The one quota implementation behind SetQuota/SetByteQuota and friends:
+  // `amount` is one evaluation or a plan's bytes, `unit` names it in the
+  // rejection message.
+  void SetBucket(QuotaMap& buckets, std::uint64_t session, double rate, double burst);
+  void DropBucket(QuotaMap& buckets, std::uint64_t session);
+  void ChargeBucket(QuotaMap& buckets, std::uint64_t session, std::int64_t amount,
+                    const char* unit);
 
   const bool adaptive_;
   const AdmissionOptions opts_;
@@ -278,10 +289,9 @@ class AdmissionGate {
   // the depth EWMA); 0 until the first release.
   double ewma_hold_ns_ = 0.0;
   // Per-tenant rate-quota buckets (see SetQuota) and byte-quota buckets
-  // (see SetByteQuota; tokens denominated in bytes, may go negative while
-  // an oversized plan's debt repays).
-  std::unordered_map<std::uint64_t, QuotaBucket> quotas_;
-  std::unordered_map<std::uint64_t, QuotaBucket> byte_quotas_;
+  // (see SetByteQuota).
+  QuotaMap quotas_;
+  QuotaMap byte_quotas_;
   bool draining_ = false;
 };
 

@@ -11,21 +11,24 @@
 
 namespace mz {
 
+namespace {
+
+// EWMA weight of one new inter-arrival gap.
+constexpr double kArrivalEwmaAlpha = 0.25;
+
+}  // namespace
+
 BatchCollector::BatchCollector(ThreadPool* pool, BatchOptions opts)
     : pool_(pool), opts_([&] {
         BatchOptions o = opts;
         o.window_us = std::max<std::int64_t>(0, o.window_us);
         o.max_batch = std::max(1, o.max_batch);
-        o.arrival_ewma_alpha = std::clamp(o.arrival_ewma_alpha, 1e-3, 1.0);
         return o;
       }()) {
   MZ_CHECK_MSG(pool_ != nullptr, "BatchCollector needs a pool");
 }
 
 std::int64_t BatchCollector::EffectiveWindowUsLocked() const {
-  if (!opts_.adaptive_window) {
-    return opts_.window_us;
-  }
   // No gap history yet, or arrivals are (smoothed) farther apart than the
   // window: no rider is predicted to show up in time — don't wait for one.
   if (ewma_gap_us_ < 0.0 || ewma_gap_us_ >= static_cast<double>(opts_.window_us)) {
@@ -62,22 +65,18 @@ void BatchCollector::Run(std::function<void()> fn, EvalStats* stats, std::int64_
     return;
   }
   ++jobs_;
-  if (opts_.adaptive_window) {
-    const std::int64_t now_ns = NowNanos();
-    if (last_arrival_ns_ > 0 && now_ns > last_arrival_ns_) {
-      // Cap one long idle gap at a few windows so the EWMA recovers within a
-      // handful of arrivals when a burst starts (an uncapped overnight gap
-      // would pin the prediction at "no riders" through the whole burst).
-      const double gap_us =
-          std::min(static_cast<double>(now_ns - last_arrival_ns_) * 1e-3,
-                   8.0 * static_cast<double>(opts_.window_us));
-      ewma_gap_us_ = ewma_gap_us_ < 0.0
-                         ? gap_us
-                         : opts_.arrival_ewma_alpha * gap_us +
-                               (1.0 - opts_.arrival_ewma_alpha) * ewma_gap_us_;
-    }
-    last_arrival_ns_ = now_ns;
+  const std::int64_t now_ns = NowNanos();
+  if (last_arrival_ns_ > 0 && now_ns > last_arrival_ns_) {
+    // Cap one long idle gap at a few windows so the EWMA recovers within a
+    // handful of arrivals when a burst starts (an uncapped overnight gap
+    // would pin the prediction at "no riders" through the whole burst).
+    const double gap_us = std::min(static_cast<double>(now_ns - last_arrival_ns_) * 1e-3,
+                                   8.0 * static_cast<double>(opts_.window_us));
+    ewma_gap_us_ = ewma_gap_us_ < 0.0
+                       ? gap_us
+                       : kArrivalEwmaAlpha * gap_us + (1.0 - kArrivalEwmaAlpha) * ewma_gap_us_;
   }
+  last_arrival_ns_ = now_ns;
   bool leader = false;
   if (open_ == nullptr || open_->closed) {
     open_ = std::make_shared<Batch>();
@@ -102,11 +101,9 @@ void BatchCollector::Run(std::function<void()> fn, EvalStats* stats, std::int64_
       window_us = std::clamp<std::int64_t>(remaining_us, 0, window_us);
     }
     batch->dispatch_by_ns = NowNanos() + window_us * 1000;
-    if (opts_.adaptive_window) {
-      adapted_window_us_total_ += window_us;
-      if (stats != nullptr) {
-        stats->batch_window_adapted_us.fetch_add(window_us, std::memory_order_relaxed);
-      }
+    adapted_window_us_total_ += window_us;
+    if (stats != nullptr) {
+      stats->batch_window_adapted_us.fetch_add(window_us, std::memory_order_relaxed);
     }
     if (window_us > 0 && !batch->closed) {
       cv_open_.wait_for(lock, std::chrono::microseconds(window_us),

@@ -9,8 +9,12 @@
 //
 //   * a session with a small plan hands the collector a closure that runs
 //     the whole plan serially (the session's 1-thread inline pool);
-//   * the first arrival becomes the batch *leader* and waits up to a short
-//     window for other sessions' plans; followers just enqueue and wait;
+//   * the first arrival becomes the batch *leader* and waits for other
+//     sessions' plans only as long as the arrival rate predicts one could
+//     show up: the collector smooths the inter-arrival gap (EWMA) and a
+//     leader waits min(window_us, 2 x smoothed gap) — zero with no gap
+//     history or when arrivals are farther apart than the window, so a lone
+//     client never pays the window. Followers just enqueue and wait;
 //   * the window closes on max_batch arrivals, on timeout, or on an
 //     explicit Flush (session teardown nudges it so a lone leader never
 //     waits out the window for riders that can no longer arrive);
@@ -42,16 +46,8 @@ namespace mz {
 class EvalStats;
 
 struct BatchOptions {
-  std::int64_t window_us = 200;  // how long a leader waits for riders
+  std::int64_t window_us = 200;  // upper bound on a leader's wait for riders
   int max_batch = 8;             // close the window early at this many jobs
-  // Arrival-rate-adaptive window: track the inter-arrival gap EWMA and have
-  // each leader wait only as long as that gap predicts a rider could
-  // actually show up — a lone client's window shrinks to zero instead of
-  // paying window_us per evaluation, while bursty traffic keeps (up to) the
-  // full window. false = fixed window (the pre-adaptive ablation).
-  bool adaptive_window = false;
-  // EWMA weight of one new inter-arrival gap, in (0, 1].
-  double arrival_ewma_alpha = 0.25;
 };
 
 class BatchCollector {
@@ -67,8 +63,8 @@ class BatchCollector {
   // `job` must not block (in particular: must not re-enter the collector or
   // wait on admission) — batches are only deadlock-free because every job
   // runs to completion on whatever thread claims it. When `stats` is given
-  // and this call leads a batch under the adaptive window, the effective
-  // window it chose is added to stats->batch_window_adapted_us.
+  // and this call leads a batch, the window it chose is added to
+  // stats->batch_window_adapted_us.
   //
   // `deadline_ns` (NowNanos clock, 0 = none) keeps deadline-bearing jobs
   // out of windows they cannot afford: a leader clamps its window so it
@@ -92,7 +88,7 @@ class BatchCollector {
   std::int64_t coalesced_jobs() const; // jobs that rode in a batch of >= 2
   int max_batch_seen() const;
   double ewma_gap_us() const;          // smoothed inter-arrival gap (-1 until 2 arrivals)
-  std::int64_t adapted_window_us_total() const;  // sum of adaptive leader windows
+  std::int64_t adapted_window_us_total() const;  // sum of leader windows
   std::int64_t deadline_bypasses() const;  // jobs that skipped a batch for their deadline
 
  private:
@@ -126,7 +122,7 @@ class BatchCollector {
   std::int64_t dispatches_ = 0;
   std::int64_t coalesced_jobs_ = 0;
   int max_batch_seen_ = 0;
-  // Adaptive-window state: arrival times feed the gap EWMA.
+  // Window-prediction state: arrival times feed the gap EWMA.
   std::int64_t last_arrival_ns_ = 0;
   double ewma_gap_us_ = -1.0;  // < 0 until two arrivals have been seen
   std::int64_t adapted_window_us_total_ = 0;

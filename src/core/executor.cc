@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/cpu.h"
 #include "common/fault.h"
 #include "common/logging.h"
 #include "common/timer.h"
@@ -22,6 +23,26 @@ namespace {
 // than this factor larger (subdivide) or smaller (coalesce) than the batch
 // the stage's own footprint picks.
 constexpr double kRebatchThreshold = 2.0;
+
+// Batch size the L2 heuristic chooses for a given per-element footprint.
+// `resident_bytes` is cache budget consumed by values that sit resident for
+// the whole stage regardless of the batch size — broadcast ("_") operands
+// such as a hash join's build side — and is subtracted from the budget
+// before dividing. Halo operands (mz::Halo()) count in the per-element sum
+// instead.
+std::int64_t HeuristicBatchElems(std::int64_t sum_bytes_per_element,
+                                 std::int64_t resident_bytes) {
+  if (sum_bytes_per_element <= 0) {
+    return 0;
+  }
+  std::int64_t budget = static_cast<std::int64_t>(L2CacheBytes()) - resident_bytes;
+  if (budget <= 0) {
+    // Resident operands (broadcast values) already overflow the cache
+    // budget; the smallest batch at least bounds the marginal working set.
+    return 1;
+  }
+  return std::max<std::int64_t>(budget / sum_bytes_per_element, 1);
+}
 
 // One output piece tagged with the batch range that produced it, so
 // dynamic scheduling can restore global order before merging and carried
@@ -444,7 +465,7 @@ class Executor::RegionRun {
     }
     batch_ = ex_.opts_.batch_override;
     if (batch_ <= 0) {
-      batch_ = ex_.HeuristicBatchElems(sum_bpe_max_, resident_max_);
+      batch_ = HeuristicBatchElems(sum_bpe_max_, resident_max_);
       if (batch_ == 0) {
         // No buffer reports a memory footprint; fall back to one batch per
         // worker.
@@ -1368,20 +1389,6 @@ Executor::Executor(TaskGraph* graph, const Registry* registry, ThreadPool* pool,
 }
 
 Executor::~Executor() = default;
-
-std::int64_t Executor::HeuristicBatchElems(std::int64_t sum_bytes_per_element,
-                                           std::int64_t resident_bytes) const {
-  if (sum_bytes_per_element <= 0) {
-    return 0;
-  }
-  std::int64_t budget = static_cast<std::int64_t>(opts_.l2_bytes) - resident_bytes;
-  if (budget <= 0) {
-    // Resident operands (broadcast values) already overflow the cache
-    // budget; the smallest batch at least bounds the marginal working set.
-    return 1;
-  }
-  return std::max<std::int64_t>(budget / sum_bytes_per_element, 1);
-}
 
 void Executor::Run(const Plan& plan) {
   const std::size_t n = plan.stages.size();

@@ -69,8 +69,7 @@
 namespace mz {
 
 struct ExecOptions {
-  std::int64_t batch_override = 0;  // 0 = use the L2 heuristic
-  std::size_t l2_bytes = 256 * 1024;
+  std::int64_t batch_override = 0;  // 0 = use the L2 heuristic (L2CacheBytes())
   bool pedantic = false;  // §7.1 debugging mode: hard-fail on bad splits
   // The paper opts for static parallelism "because it is simpler to schedule
   // and... leads to similar results for most workloads; however, dynamic
@@ -110,15 +109,6 @@ class Executor {
   // splitters, inconsistent element counts, ...). Exceptions from worker
   // threads are rethrown on the calling thread.
   void Run(const Plan& plan);
-
-  // Batch size the heuristic would choose for a given per-element footprint
-  // (exposed for tests and the Fig. 6 bench). `resident_bytes` is cache
-  // budget consumed by values that sit resident for the whole stage
-  // regardless of the batch size — broadcast ("_") operands such as a hash
-  // join's build side — and is subtracted from the budget before dividing.
-  // Halo operands (mz::Halo()) count in the per-element sum instead.
-  std::int64_t HeuristicBatchElems(std::int64_t sum_bytes_per_element,
-                                   std::int64_t resident_bytes = 0) const;
 
  private:
   // Reusable per-run scratch (per-depth pieces/partials tables, per-worker

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iterator>
-#include <string>
 
 #include "common/check.h"
 
@@ -67,15 +66,6 @@ std::size_t HeapBlockBytes(const void* p, std::size_t requested) {
 template <typename T>
 std::size_t VecHeapBytes(const std::vector<T>& v) {
   return v.capacity() == 0 ? 0 : HeapBlockBytes(v.data(), v.capacity() * sizeof(T));
-}
-
-std::size_t StringHeapBytes(const std::string& s) {
-  // SSO storage lives inside the string object itself — no heap block.
-  const void* data = s.data();
-  if (data >= static_cast<const void*>(&s) && data < static_cast<const void*>(&s + 1)) {
-    return 0;
-  }
-  return HeapBlockBytes(data, s.capacity() + 1);
 }
 
 }  // namespace
@@ -378,7 +368,6 @@ std::size_t CountPlanHeapBytes(const std::vector<std::uint64_t>& key_words,
     b += VecHeapBytes(stage.funcs);
     for (const StageBuffer& buf : stage.buffers) {
       b += VecHeapBytes(buf.params);
-      b += StringHeapBytes(buf.debug_type);
     }
     for (const PlannedFunc& fn : stage.funcs) {
       b += VecHeapBytes(fn.args);

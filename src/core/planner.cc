@@ -315,18 +315,15 @@ Plan Planner::Build(int first_node, int end_node) {
         } else {
           buf.use_default_split = true;
         }
-        buf.debug_type = c.type.ToString();
       } else {
         buf.split_name = c.type.name();
         buf.params = c.type.params();
-        buf.debug_type = c.type.ToString();
       }
       return;
     }
     if (c.name_constraint != kNoConstraint) {
       buf.split_name = c.name_constraint;
       buf.params_deferred = true;
-      buf.debug_type = InternedName(c.name_constraint) + "<deferred>";
       return;
     }
     if (produced) {
@@ -334,7 +331,6 @@ Plan Planner::Build(int first_node, int end_node) {
     } else {
       buf.use_default_split = true;
     }
-    buf.debug_type = "default";
   };
 
   for (int n = first_node; n < end_node; ++n) {

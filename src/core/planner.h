@@ -25,7 +25,6 @@
 #define MOZART_CORE_PLANNER_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/registry.h"
@@ -104,7 +103,6 @@ struct StageBuffer {
 
   // Planning-internal: inference class root for same-stream checks.
   int class_id = -1;
-  std::string debug_type;
 };
 
 struct Stage {

@@ -220,7 +220,6 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
 
   ExecOptions exec_opts;
   exec_opts.batch_override = opts_.batch_elems_override;
-  exec_opts.l2_bytes = L2CacheBytes();
   exec_opts.pedantic = opts_.pedantic;
   exec_opts.dynamic_scheduling = opts_.dynamic_scheduling;
   exec_opts.elide_boundaries = opts_.elide_boundaries;

@@ -47,9 +47,8 @@ ServingContext::ServingContext(ServingOptions opts) : opts_(opts) {
 
   if (opts_.batch_window_us > 0) {
     batcher_ = std::make_unique<BatchCollector>(
-        pool_.get(), BatchOptions{.window_us = opts_.batch_window_us,
-                                  .max_batch = opts_.batch_max_plans,
-                                  .adaptive_window = opts_.adaptive_batch_window});
+        pool_.get(),
+        BatchOptions{.window_us = opts_.batch_window_us, .max_batch = opts_.batch_max_plans});
   }
 }
 

@@ -57,13 +57,11 @@ struct ServingOptions {
   AdmissionOptions admission_tuning{.max_tokens = 0, .base_cutoff_elems = 0,
                                     .max_cutoff_elems = 0};
   // Cross-session micro-batching (batch.h): > 0 coalesces inline-class plans
-  // arriving within this window into one pool dispatch.
+  // into one pool dispatch. A leader waits at most this long, and only as
+  // long as the inter-arrival EWMA predicts a rider, so a lone client never
+  // pays the window.
   std::int64_t batch_window_us = 0;
   int batch_max_plans = 8;
-  // Arrival-rate-adaptive batching window (batch.h): leaders wait only as
-  // long as the inter-arrival EWMA predicts a rider, so a lone client stops
-  // paying batch_window_us per evaluation. false = fixed-window ablation.
-  bool adaptive_batch_window = true;
 };
 
 class Session;

@@ -2,19 +2,23 @@
 // drive the collector directly (coalescing, max-batch close, flush,
 // exception routing); the end-to-end tests check that N sessions' small
 // plans produce bit-identical results batched vs. unbatched, and that a
-// session teardown flushes an open batch window. Liveness assertions are
-// completion-based (windows are set absurdly long, so finishing at all
-// proves the early close) — no wall-clock measurements, per the
-// single-core-CI note in ROADMAP.
+// session teardown flushes an open batch window. A leader waits only as
+// long as the arrival predictor expects a rider, so tests that need an open
+// window prime it with real arrivals a known gap apart (PrimeWindow). The
+// assertions are on batch membership, not wall-clock durations, per the
+// single-core-CI note in ROADMAP: a closed window is shown by a later
+// arrival that can no longer join it.
 #include "core/batch.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/client.h"
 #include "core/session.h"
 #include "core/stats.h"
@@ -24,7 +28,26 @@
 namespace mz {
 namespace {
 
-constexpr std::int64_t kForeverUs = 60 * 1000 * 1000;  // a window only flush/full can close
+constexpr std::int64_t kForeverUs = 60 * 1000 * 1000;  // never the binding bound
+
+// Primes the arrival predictor so that the next leader, arriving right
+// after, waits about 1.5 x 200 ms: two solo arrivals 200 ms apart set the
+// smoothed gap to 200 ms, and the second carries an already-due deadline so
+// its own window clamps to zero. A rider then has ~300 ms to join.
+void PrimeWindow(BatchCollector& collector) {
+  collector.Run([] {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  collector.Run([] {}, nullptr, /*deadline_ns=*/NowNanos());
+}
+
+// Blocks until `jobs` jobs have entered the collector. Run counts a job
+// and opens (or joins) its batch under one lock, so a leader counted here
+// already holds the open batch.
+void WaitForJobs(const BatchCollector& collector, std::int64_t jobs) {
+  while (collector.jobs() < jobs) {
+    std::this_thread::yield();
+  }
+}
 
 TEST(BatchCollectorTest, SingleJobRunsOnTheCallersThread) {
   ThreadPool pool(4);
@@ -42,31 +65,40 @@ TEST(BatchCollectorTest, SingleJobRunsOnTheCallersThread) {
 TEST(BatchCollectorTest, FullBatchClosesBeforeTheWindow) {
   ThreadPool pool(4);
   BatchCollector collector(&pool, BatchOptions{.window_us = kForeverUs, .max_batch = 2});
+  PrimeWindow(collector);
   std::atomic<int> ran{0};
-  std::thread a([&] { collector.Run([&] { ran.fetch_add(1); }); });
-  std::thread b([&] { collector.Run([&] { ran.fetch_add(1); }); });
-  // Joining at all proves max_batch closed the 60 s window early.
-  a.join();
-  b.join();
-  EXPECT_EQ(ran.load(), 2);
-  EXPECT_EQ(collector.jobs(), 2);
-  EXPECT_EQ(collector.max_batch_seen(), 2);
+  std::vector<std::thread> threads;
+  threads.emplace_back([&] { collector.Run([&] { ran.fetch_add(1); }); });
+  WaitForJobs(collector, 3);  // the leader's window is open
+  // Two more arrivals inside the leader's window: the first fills the batch
+  // and closes it, so the second cannot join and leads a batch of its own.
+  for (int i = 0; i < 2; ++i) {
+    threads.emplace_back([&] { collector.Run([&] { ran.fetch_add(1); }); });
+  }
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  EXPECT_EQ(ran.load(), 3);
+  EXPECT_EQ(collector.jobs(), 5);
+  EXPECT_EQ(collector.max_batch_seen(), 2) << "a batch grew past max_batch";
   EXPECT_EQ(collector.coalesced_jobs(), 2);
 }
 
 TEST(BatchCollectorTest, FlushClosesAnOpenWindow) {
   ThreadPool pool(2);
   BatchCollector collector(&pool, BatchOptions{.window_us = kForeverUs, .max_batch = 8});
+  PrimeWindow(collector);
   std::atomic<bool> ran{false};
   std::thread leader([&] { collector.Run([&] { ran.store(true); }); });
-  // Nudge until the leader has both entered the window and been flushed out
-  // of it; completion proves Flush works (the window alone is 60 s).
-  while (!ran.load()) {
-    collector.Flush();
-    std::this_thread::yield();
-  }
+  WaitForJobs(collector, 3);
+  collector.Flush();
+  // Arriving well inside the leader's window, this job would ride with it
+  // had the flush not closed the batch.
+  collector.Run([] {});
   leader.join();
-  EXPECT_EQ(collector.dispatches(), 1);
+  EXPECT_TRUE(ran.load());
+  EXPECT_EQ(collector.dispatches(), 4);
+  EXPECT_EQ(collector.coalesced_jobs(), 0) << "a job joined a flushed window";
 }
 
 TEST(BatchCollectorTest, ManyConcurrentSubmittersAllComplete) {
@@ -90,10 +122,10 @@ TEST(BatchCollectorTest, ManyConcurrentSubmittersAllComplete) {
 TEST(BatchCollectorTest, ExceptionReachesItsSubmitterOnly) {
   ThreadPool pool(4);
   BatchCollector collector(&pool, BatchOptions{.window_us = kForeverUs, .max_batch = 2});
+  PrimeWindow(collector);
   std::atomic<bool> ok_ran{false};
   std::atomic<bool> ok_threw{false};
   std::atomic<bool> bad_threw{false};
-  // Two riders guaranteed into one batch (window closes only when full).
   std::thread good([&] {
     try {
       collector.Run([&] { ok_ran.store(true); });
@@ -101,6 +133,7 @@ TEST(BatchCollectorTest, ExceptionReachesItsSubmitterOnly) {
       ok_threw.store(true);
     }
   });
+  WaitForJobs(collector, 3);  // `bad` rides in `good`'s open window
   std::thread bad([&] {
     try {
       collector.Run([] { throw std::runtime_error("boom"); });
@@ -110,17 +143,17 @@ TEST(BatchCollectorTest, ExceptionReachesItsSubmitterOnly) {
   });
   good.join();
   bad.join();
+  EXPECT_EQ(collector.coalesced_jobs(), 2);
   EXPECT_TRUE(ok_ran.load());
   EXPECT_FALSE(ok_threw.load()) << "a batchmate's exception leaked across jobs";
   EXPECT_TRUE(bad_threw.load());
 }
 
-// ---- arrival-rate-adaptive window ----
+// ---- arrival-rate prediction ----
 
 TEST(BatchCollectorTest, AdaptiveLoneLeaderSkipsTheForeverWindow) {
   ThreadPool pool(2);
-  BatchCollector collector(
-      &pool, BatchOptions{.window_us = kForeverUs, .max_batch = 8, .adaptive_window = true});
+  BatchCollector collector(&pool, BatchOptions{.window_us = kForeverUs, .max_batch = 8});
   bool ran = false;
   // No gap history: no rider is predicted, so the leader must not sleep out
   // the 60 s window. Returning at all is the assertion.
@@ -134,8 +167,7 @@ TEST(BatchCollectorTest, AdaptiveLoneLeaderSkipsTheForeverWindow) {
 
 TEST(BatchCollectorTest, AdaptiveWindowIsBoundedByArrivalPrediction) {
   ThreadPool pool(2);
-  BatchCollector collector(
-      &pool, BatchOptions{.window_us = 1000, .max_batch = 8, .adaptive_window = true});
+  BatchCollector collector(&pool, BatchOptions{.window_us = 1000, .max_batch = 8});
   EvalStats stats;
   constexpr int kJobs = 16;
   int ran = 0;
@@ -145,8 +177,8 @@ TEST(BatchCollectorTest, AdaptiveWindowIsBoundedByArrivalPrediction) {
   EXPECT_EQ(ran, kJobs);
   EXPECT_GE(collector.ewma_gap_us(), 0.0);  // gap history accumulated
   // Every leader's effective window is capped by the configured one, and the
-  // first leader (no history) pays zero — strictly less than the fixed-window
-  // total no matter how the arrival gaps smoothed out.
+  // first leader (no history) pays zero — strictly less than kJobs full
+  // windows no matter how the arrival gaps smoothed out.
   EXPECT_LT(collector.adapted_window_us_total(), kJobs * 1000);
   // The per-leader choice is also exported through EvalStats.
   EXPECT_EQ(stats.batch_window_adapted_us.load(), collector.adapted_window_us_total());
@@ -231,40 +263,37 @@ TEST(BatchCollectorSessionTest, BatchedResultsMatchUnbatched) {
 
 TEST(BatchCollectorSessionTest, SessionTeardownFlushesTheOpenWindow) {
   mzvec::EnsureRegistered();
-  // The window closes only on flush (or after 60 s): a leader evaluating
-  // alone would sleep the full window unless teardown of another session
-  // nudges the collector.
-  // adaptive_batch_window off: an adaptive leader with no predicted rider
-  // skips the window entirely, and this test is about flushing a leader that
-  // is actually waiting in one.
   ServingContext ctx(ServingOptions{
       .pool_threads = 2, .max_pool_sessions = 2, .serial_cutoff_elems = 4096,
-      .batch_window_us = kForeverUs, .batch_max_plans = 8,
-      .adaptive_batch_window = false});
+      .batch_window_us = kForeverUs, .batch_max_plans = 8});
+  BatchCollector& collector = *ctx.batcher();
 
   const long n = 256;
-  std::atomic<bool> done{false};
-  std::thread leader([&] {
-    std::vector<double> a(static_cast<std::size_t>(n), 1.0);
+  auto evaluate_sqrt = [&] {
+    std::vector<double> a(static_cast<std::size_t>(n), 4.0);
     std::vector<double> out(static_cast<std::size_t>(n));
     SessionOptions opts;
     opts.serving = &ctx;
     Session session(opts);
     Session::Scope scope(session);
     mzvec::Sqrt(n, a.data(), out.data());
-    session.Evaluate();  // leader: waits in the (effectively infinite) window
-    done.store(true, std::memory_order_release);
-  });
-  // Churn sessions until the leader gets flushed out; completing at all
-  // (well before the 60 s window) is the assertion.
-  while (!done.load(std::memory_order_acquire)) {
+    session.Evaluate();
+    EXPECT_EQ(out, std::vector<double>(static_cast<std::size_t>(n), 2.0));
+  };
+  PrimeWindow(collector);
+  std::thread leader(evaluate_sqrt);  // leads a batch and waits for riders
+  WaitForJobs(collector, 3);
+  {
     SessionOptions opts;
     opts.serving = &ctx;
-    Session nudge(opts);  // destructor flushes the collector
-    std::this_thread::yield();
+    Session departing(opts);  // its teardown flushes the open window
   }
+  // Arriving well inside the leader's window, this evaluation would ride
+  // with it had the teardown not closed the batch.
+  evaluate_sqrt();
   leader.join();
-  EXPECT_EQ(ctx.batcher()->jobs(), 1);
+  EXPECT_EQ(collector.jobs(), 4);
+  EXPECT_EQ(collector.coalesced_jobs(), 0) << "an evaluation joined a flushed window";
 }
 
 }  // namespace

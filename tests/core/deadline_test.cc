@@ -12,7 +12,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/cancel.h"
@@ -258,6 +260,49 @@ TEST(DeadlineTest, QuotaBucketRejectsWithRetryAfter) {
   gate.ChargeQuota(7);  // dropped: unlimited again
 }
 
+// A burst below one evaluation admits from a full bucket and leaves it in
+// debt (the oversized-request rule the byte quota uses), so the rejection's
+// retry_after_us is a promise the bucket keeps.
+TEST(DeadlineTest, QuotaBurstBelowOneEvalAdmitsAndRepays) {
+  AdmissionGate gate(2);
+  gate.SetQuota(9, 20.0, 0.5);  // 20 evals/s, burst of half an eval
+  gate.ChargeQuota(9);          // full bucket: admitted, 0.5 evals in debt
+  std::int64_t retry_us = 0;
+  try {
+    gate.ChargeQuota(9);
+    FAIL() << "expected OverloadError";
+  } catch (const OverloadError& e) {
+    EXPECT_EQ(e.kind, OverloadError::Kind::kQuota);
+    retry_us = e.retry_after_us;
+  }
+  EXPECT_GT(retry_us, 0);
+  EXPECT_LE(retry_us, 50'000) << "refill hint beyond the debt plus a full burst";
+  std::this_thread::sleep_for(std::chrono::microseconds(retry_us));
+  gate.ChargeQuota(9);  // the hinted wait refilled the bucket
+}
+
+// A plan larger than the byte burst admits once the bucket is full and
+// drives it into debt; the next charge rejects with a hint that covers the
+// debt, not just the new plan's bytes.
+TEST(DeadlineTest, ByteQuotaOversizedPlanLeavesDebt) {
+  AdmissionGate gate(2);
+  gate.SetByteQuota(5, 100'000.0, 1000.0);  // 100 kB/s, burst 1000 B
+  gate.ChargeBytes(5, 5000);                 // 5x the burst: admitted, 4000 B in debt
+  try {
+    gate.ChargeBytes(5, 100);
+    FAIL() << "expected OverloadError";
+  } catch (const OverloadError& e) {
+    EXPECT_EQ(e.kind, OverloadError::Kind::kQuota);
+    // 4000 B of debt plus the 100 B asked for, at 10 B/ms: 41 ms less what
+    // refilled since the first charge. The new plan alone would be 1 ms.
+    EXPECT_GE(e.retry_after_us, 20'000) << "hint does not cover the debt";
+    EXPECT_LE(e.retry_after_us, 41'000);
+  }
+  gate.ChargeBytes(6, 1 << 30);  // sessions without a byte quota are unlimited
+  gate.DropByteQuota(5);
+  gate.ChargeBytes(5, 5000);  // dropped: unlimited again
+}
+
 TEST(DeadlineTest, SessionQuotaRejectsAndCounts) {
   mzvec::EnsureRegistered();
   ServingContext ctx(ServingOptions{.pool_threads = 2});
@@ -289,24 +334,35 @@ TEST(DeadlineTest, SessionQuotaRejectsAndCounts) {
   EXPECT_EQ(session.stats().evaluations.load(), 1);
 }
 
+// Opens a batch window on `collector`: two solo arrivals 200 ms apart prime
+// the arrival predictor (the second's already-due deadline clamps its own
+// window to zero), so the leader that `leader_job` starts right after waits
+// about 300 ms for riders. Returns once that leader holds the open batch.
+std::thread OpenBatchWindow(BatchCollector& collector, std::function<void()> leader_job) {
+  collector.Run([] {});
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  collector.Run([] {}, nullptr, /*deadline_ns=*/NowNanos());
+  std::thread leader(std::move(leader_job));
+  while (collector.jobs() < 3) {
+    std::this_thread::yield();
+  }
+  return leader;
+}
+
 // A rider whose deadline falls inside the open batch's dispatch window must
 // not ride: it runs solo immediately instead of sleeping out the window.
 TEST(DeadlineTest, DeadlineRiderBypassesOpenBatch) {
   ThreadPool pool(2);
-  BatchCollector collector(&pool, BatchOptions{.window_us = 200'000, .max_batch = 8});
+  BatchCollector collector(&pool, BatchOptions{.window_us = 60'000'000, .max_batch = 8});
 
   std::atomic<bool> leader_ran{false};
-  std::thread leader([&] {
-    collector.Run([&] { leader_ran.store(true); });  // opens a 200ms window
-  });
-  while (collector.jobs() < 1) {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-  }
+  std::thread leader =
+      OpenBatchWindow(collector, [&] { collector.Run([&] { leader_ran.store(true); }); });
 
   std::atomic<bool> rider_ran{false};
   const std::int64_t t0 = NowNanos();
   collector.Run([&] { rider_ran.store(true); }, nullptr,
-                /*deadline_ns=*/NowNanos() + 5'000'000);  // 5ms < 200ms window
+                /*deadline_ns=*/NowNanos() + 5'000'000);  // 5ms < ~300ms window
   const std::int64_t rider_ns = NowNanos() - t0;
   EXPECT_TRUE(rider_ran.load());
   EXPECT_LT(rider_ns, 100'000'000) << "rider slept out the leader's window";
@@ -321,12 +377,7 @@ TEST(DeadlineTest, DeadlineRiderBypassesOpenBatch) {
 // mark the batch done and surface the error on every job it never ran.
 TEST(DeadlineTest, BatchDispatchFailureReachesEveryJob) {
   ThreadPool pool(2);
-  BatchCollector collector(&pool, BatchOptions{.window_us = 100'000, .max_batch = 2});
-
-  FaultConfig cfg;
-  cfg.p_throw = 1.0;
-  cfg.only_site = "batch.dispatch";
-  FaultInjector::Global().Arm(cfg);
+  BatchCollector collector(&pool, BatchOptions{.window_us = 60'000'000, .max_batch = 2});
 
   std::atomic<int> threw{0};
   std::atomic<int> ran{0};
@@ -337,11 +388,18 @@ TEST(DeadlineTest, BatchDispatchFailureReachesEveryJob) {
       threw.fetch_add(1);
     }
   };
-  std::thread t1(eval), t2(eval);  // max_batch=2: second arrival dispatches
+  // The priming arrivals dispatch too, so arm only once the leader waits.
+  std::thread t1 = OpenBatchWindow(collector, eval);
+  FaultConfig cfg;
+  cfg.p_throw = 1.0;
+  cfg.only_site = "batch.dispatch";
+  FaultInjector::Global().Arm(cfg);
+  std::thread t2(eval);  // max_batch=2: the rider fills the batch and dispatches
   t1.join();
   t2.join();
   FaultInjector::Global().Disarm();
 
+  EXPECT_EQ(collector.coalesced_jobs(), 2) << "the two jobs did not share a batch";
   EXPECT_EQ(threw.load(), 2) << "dispatch failure must reach leader AND rider";
   EXPECT_EQ(ran.load(), 0);
   EXPECT_GE(FaultInjector::Global().fires(), 1);

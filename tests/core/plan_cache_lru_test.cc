@@ -287,7 +287,7 @@ TEST(PlanCacheLruTest, CollisionNeverAliasesAcrossEviction) {
 // True footprints depend on the platform allocator, so these assert
 // conservation laws over Insert outcomes rather than exact byte values.
 
-// A plan whose containers carry real heap payload (params, debug strings).
+// A plan whose containers carry real heap payload (params, args).
 Plan HeapyPlan(int stages, int params_per_buf) {
   Plan p;
   p.stages.resize(static_cast<std::size_t>(stages));
@@ -295,7 +295,6 @@ Plan HeapyPlan(int stages, int params_per_buf) {
     s.buffers.resize(2);
     for (StageBuffer& b : s.buffers) {
       b.params.assign(static_cast<std::size_t>(params_per_buf), 7);
-      b.debug_type = "a debug type name long enough to defeat the SSO buffer";
     }
     s.funcs.resize(1);
     s.funcs[0].args.resize(2);
