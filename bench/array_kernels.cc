@@ -21,8 +21,17 @@
 //
 // The libraries run single-threaded here: the figure is one core's cost.
 //
+// The IEEE-exact element-wise kernels are built twice, for baseline x86-64
+// and for AVX-512F (common/simd.h); their rows run the build the library
+// selects. On an AVX-512F CPU a second table times both builds of each of
+// those kernels in this one process, alternating a baseline pass with an
+// 8-lane pass so that drift on a shared host hits both alike, and prints
+// the 8-lane time over the baseline time.
+//
 // Emits MOZART_BENCH_JSON rows (bench "array_kernels", workload = kernel,
-// config = "slice8k" or "whole"): ns_per_elem, memcpy_ns_per_elem, x_floor.
+// config = "slice8k" or "whole"): ns_per_elem, memcpy_ns_per_elem, x_floor,
+// and for the element-wise kernels on AVX-512F CPUs baseline_ns_per_elem,
+// avx512_ns_per_elem and avx512_x_baseline.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -33,7 +42,11 @@
 
 #include "bench/bench_common.h"
 #include "common/rng.h"
+#include "common/simd.h"
+#include "common/timer.h"
+#include "matrix/loops.h"
 #include "matrix/matrix.h"
+#include "vecmath/loops.h"
 #include "vecmath/vecmath.h"
 
 namespace {
@@ -45,11 +58,30 @@ constexpr long kSliceElems = 8 * kCols;  // 8 Ki elements: 8 matrix rows
 
 double g_sink = 0;
 
+// One build of the element-wise loops: vecmath's and matrix's tables.
+struct LoopTables {
+  const vecmath::internal::ElementwiseLoops& vec;
+  const matrix::internal::ElementwiseLoops& mat;
+};
+using Tables = const LoopTables&;
+using LoopRun = std::function<void(Tables t, long e0, long e1)>;
+
+const LoopTables kBaseline{vecmath::internal::BaselineLoops(), matrix::internal::BaselineLoops()};
+const LoopTables kAvx512{vecmath::internal::Avx512Loops(), matrix::internal::Avx512Loops()};
+// The build the public kernels run.
+const LoopTables& Selected() { return mz::CpuHasAvx512F() ? kAvx512 : kBaseline; }
+
 struct Kernel {
   const char* name;
   long bytes_per_elem;                       // input bytes read per element
   std::function<void(long e0, long e1)> run;  // runs over elements [e0, e1)
+  LoopRun loop = nullptr;  // element-wise kernels: `run` through a given build
 };
+
+// An element-wise kernel's row: `run` is `loop` through the selected build.
+Kernel Elementwise(const char* name, long bytes_per_elem, LoopRun loop) {
+  return {name, bytes_per_elem, [loop](long e0, long e1) { loop(Selected(), e0, e1); }, loop};
+}
 
 // Median time of `elems / slice` calls of fn over elements [0, slice), in
 // ns/element.
@@ -60,6 +92,31 @@ double NsPerElem(const std::function<void(long, long)>& fn, long elems, long sli
     }
   });
   return s * 1e9 / static_cast<double>(elems);
+}
+
+// The medians, in ns/element, of `kPairs` passes of `loop` through each
+// build, alternating a baseline pass with an 8-lane one. A pass makes
+// `elems / slice` calls over elements [0, slice).
+std::pair<double, double> InterleavedNsPerElem(const LoopRun& loop, long elems, long slice) {
+  constexpr int kPairs = 7;
+  auto pass = [&](const LoopTables& t) {
+    mz::WallTimer timer;
+    for (long done = 0; done < elems; done += slice) {
+      loop(t, 0, slice);
+    }
+    return timer.ElapsedSeconds() * 1e9 / static_cast<double>(elems);
+  };
+  std::vector<double> base;
+  std::vector<double> wide;
+  for (int r = 0; r < kPairs; ++r) {
+    base.push_back(pass(kBaseline));
+    wide.push_back(pass(kAvx512));
+  }
+  auto median = [](std::vector<double>& v) {
+    std::nth_element(v.begin(), v.begin() + kPairs / 2, v.end());
+    return v[kPairs / 2];
+  };
+  return {median(base), median(wide)};
 }
 
 std::vector<double> Uniform(long n, double lo, double hi, std::uint64_t seed) {
@@ -104,7 +161,8 @@ int main() {
   const long slice = std::min(kSliceElems, n);
   bench::Title("Array kernels: ns per element vs a memcpy floor (" + std::to_string(n) +
                " elements; Exp/Log/Erf path: " + vecmath::TranscendentalPath() +
-               ", Log1p path: " + vecmath::Log1pPath() + ")");
+               ", Log1p path: " + vecmath::Log1pPath() +
+               ", element-wise loops: " + vecmath::SimdLoopsPath() + ")");
   vecmath::SetNumThreads(1);
   matrix::SetNumThreads(1);
 
@@ -140,15 +198,34 @@ int main() {
     return Matrix::RowView(m, e0 / kCols, e1 / kCols);
   };
   const std::vector<Kernel> kernels = {
-      {"Add", 16, [&](long e0, long e1) { vecmath::Add(e1 - e0, pa + e0, pb + e0, po + e0); }},
-      {"Sub", 16, [&](long e0, long e1) { vecmath::Sub(e1 - e0, pa + e0, pb + e0, po + e0); }},
-      {"Mul", 16, [&](long e0, long e1) { vecmath::Mul(e1 - e0, pa + e0, pb + e0, po + e0); }},
-      {"Div", 16, [&](long e0, long e1) { vecmath::Div(e1 - e0, pa + e0, pb + e0, po + e0); }},
-      {"Max", 16, [&](long e0, long e1) { vecmath::Max(e1 - e0, pa + e0, pb + e0, po + e0); }},
-      {"AddC", 8, [&](long e0, long e1) { vecmath::AddC(e1 - e0, pa + e0, 2.0, po + e0); }},
-      {"MulC", 8, [&](long e0, long e1) { vecmath::MulC(e1 - e0, pa + e0, 2.0, po + e0); }},
-      {"Sqrt", 8, [&](long e0, long e1) { vecmath::Sqrt(e1 - e0, pa + e0, po + e0); }},
-      {"Inv", 8, [&](long e0, long e1) { vecmath::Inv(e1 - e0, pa + e0, po + e0); }},
+      Elementwise("Add", 16,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.add(e1 - e0, pa + e0, pb + e0, po + e0);
+                  }),
+      Elementwise("Sub", 16,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.sub(e1 - e0, pa + e0, pb + e0, po + e0);
+                  }),
+      Elementwise("Mul", 16,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.mul(e1 - e0, pa + e0, pb + e0, po + e0);
+                  }),
+      Elementwise("Div", 16,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.div(e1 - e0, pa + e0, pb + e0, po + e0);
+                  }),
+      Elementwise("Max", 16,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.max(e1 - e0, pa + e0, pb + e0, po + e0);
+                  }),
+      Elementwise("AddC", 8,
+                  [&](Tables t, long e0, long e1) { t.vec.add_c(e1 - e0, pa + e0, 2.0, po + e0); }),
+      Elementwise("MulC", 8,
+                  [&](Tables t, long e0, long e1) { t.vec.mul_c(e1 - e0, pa + e0, 2.0, po + e0); }),
+      Elementwise("Sqrt", 8,
+                  [&](Tables t, long e0, long e1) { t.vec.sqrt(e1 - e0, pa + e0, po + e0); }),
+      Elementwise("Inv", 8,
+                  [&](Tables t, long e0, long e1) { t.vec.inv(e1 - e0, pa + e0, po + e0); }),
       {"Exp", 8, [&](long e0, long e1) { vecmath::Exp(e1 - e0, pc + e0, po + e0); }},
       {"Log", 8, [&](long e0, long e1) { vecmath::Log(e1 - e0, pa + e0, po + e0); }},
       {"Erf", 8, [&](long e0, long e1) { vecmath::Erf(e1 - e0, pc + e0, po + e0); }},
@@ -161,33 +238,38 @@ int main() {
       {"Cos", 8, [&](long e0, long e1) { vecmath::Cos(e1 - e0, ph + e0, po + e0); }},
       {"Asin", 8, [&](long e0, long e1) { vecmath::Asin(e1 - e0, pg + e0, po + e0); }},
       {"Atan", 8, [&](long e0, long e1) { vecmath::Atan(e1 - e0, ph + e0, po + e0); }},
-      {"Fma", 24,
-       [&](long e0, long e1) { vecmath::Fma(e1 - e0, pa + e0, pb + e0, pc + e0, po + e0); }},
-      {"Select", 24,
-       [&](long e0, long e1) { vecmath::Select(e1 - e0, pc + e0, pa + e0, pb + e0, po + e0); }},
-      {"Axpy", 16, [&](long e0, long e1) { vecmath::Axpy(e1 - e0, 0.5, pa + e0, po + e0); }},
+      Elementwise("Fma", 24,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.fma(e1 - e0, pa + e0, pb + e0, pc + e0, po + e0);
+                  }),
+      Elementwise("Select", 24,
+                  [&](Tables t, long e0, long e1) {
+                    t.vec.select(e1 - e0, pc + e0, pa + e0, pb + e0, po + e0);
+                  }),
+      Elementwise("Axpy", 16,
+                  [&](Tables t, long e0, long e1) { t.vec.axpy(e1 - e0, 0.5, pa + e0, po + e0); }),
       {"Sum", 8, [&](long e0, long e1) { g_sink += vecmath::Sum(e1 - e0, pa + e0); }},
       {"Dot", 16, [&](long e0, long e1) { g_sink += vecmath::Dot(e1 - e0, pa + e0, pb + e0); }},
-      {"mat.Add", 16,
-       [&](long e0, long e1) {
-         Matrix x = band(ma, e0, e1), y = band(mb, e0, e1), o = band(mo, e0, e1);
-         matrix::Add(&x, &y, &o);
-       }},
-      {"mat.MulScalar", 8,
-       [&](long e0, long e1) {
-         Matrix x = band(ma, e0, e1), o = band(mo, e0, e1);
-         matrix::MulScalar(&x, 0.5, &o);
-       }},
-      {"mat.AddScaled", 16,
-       [&](long e0, long e1) {
-         Matrix x = band(ma, e0, e1), y = band(mb, e0, e1), o = band(mo, e0, e1);
-         matrix::AddScaled(&x, -0.25, &y, &o);
-       }},
-      {"mat.Sqrt", 8,
-       [&](long e0, long e1) {
-         Matrix x = band(ma, e0, e1), o = band(mo, e0, e1);
-         matrix::Sqrt(&x, &o);
-       }},
+      Elementwise("mat.Add", 16,
+                  [&](Tables t, long e0, long e1) {
+                    Matrix x = band(ma, e0, e1), y = band(mb, e0, e1), o = band(mo, e0, e1);
+                    t.mat.add(&x, &y, &o);
+                  }),
+      Elementwise("mat.MulScalar", 8,
+                  [&](Tables t, long e0, long e1) {
+                    Matrix x = band(ma, e0, e1), o = band(mo, e0, e1);
+                    t.mat.mul_scalar(&x, 0.5, &o);
+                  }),
+      Elementwise("mat.AddScaled", 16,
+                  [&](Tables t, long e0, long e1) {
+                    Matrix x = band(ma, e0, e1), y = band(mb, e0, e1), o = band(mo, e0, e1);
+                    t.mat.add_scaled(&x, -0.25, &y, &o);
+                  }),
+      Elementwise("mat.Sqrt", 8,
+                  [&](Tables t, long e0, long e1) {
+                    Matrix x = band(ma, e0, e1), o = band(mo, e0, e1);
+                    t.mat.sqrt(&x, &o);
+                  }),
       {"mat.Pow", 8,
        [&](long e0, long e1) {
          Matrix x = band(ma, e0, e1), o = band(mo, e0, e1);
@@ -231,6 +313,30 @@ int main() {
       bench::Metric("array_kernels", k.name, config, "x_floor", ratio);
     }
     std::printf("\n");
+  }
+
+  if (mz::CpuHasAvx512F()) {
+    std::printf("\n  8-lane vs baseline element-wise loops, interleaved (ns/element)\n");
+    std::printf("  %-14s  %12s %10s %8s  %12s %10s %8s\n", "kernel", "slice base", "8-lane",
+                "ratio", "whole base", "8-lane", "ratio");
+    for (const Kernel& k : kernels) {
+      if (k.loop == nullptr) {
+        continue;
+      }
+      std::printf("  %-14s", k.name);
+      for (const auto& [config, len] : {std::pair<const char*, long>{"slice8k", slice},
+                                        std::pair<const char*, long>{"whole", n}}) {
+        auto [base, wide] = InterleavedNsPerElem(k.loop, n, len);
+        double ratio = base > 0 ? wide / base : 0.0;
+        std::printf("  %12.2f %10.2f %8.2f", base, wide, ratio);
+        bench::Metric("array_kernels", k.name, config, "baseline_ns_per_elem", base);
+        bench::Metric("array_kernels", k.name, config, "avx512_ns_per_elem", wide);
+        bench::Metric("array_kernels", k.name, config, "avx512_x_baseline", ratio);
+      }
+      std::printf("\n");
+    }
+  } else {
+    bench::Note("(no AVX-512F: the element-wise loops have only their baseline build here)");
   }
   bench::Note("(sink " + std::to_string(g_sink + out[0] + mo.at(0, 0)) + ")");
   return 0;

@@ -28,7 +28,8 @@ benches="${MOZART_BENCH_LIST:-table4_pipelining fig5_overheads fig6_batch_size f
 cmake -B build -S . -DMZ_SANITIZE=OFF -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build build -j "$jobs" --target $benches host_fingerprint >/dev/null
 # The host and build every file's numbers come from (bench/host_fingerprint.cc);
-# scripts/bench_diff.py refuses to compare files whose fingerprints differ.
+# scripts/bench_diff.py refuses to compare files whose host or build keys
+# differ, and notes differing code paths or huge-page modes.
 fingerprint="$(./build/bench/host_fingerprint)"
 
 tmpdir="$(mktemp -d)"

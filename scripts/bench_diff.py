@@ -17,11 +17,14 @@ Files measured at a different scale or thread count, or on another host
 or build, are not comparable: the script exits non-zero, naming both
 values, when any NEW file's "scale" or "threads", or a host or build key of
 its "fingerprint" (L2 size, compiler, build type; written by
-scripts/bench.sh), differs from OLD's. The fingerprint's other keys (the
-vecmath code paths) are what a change under test may itself switch, so a
-difference there is printed, not refused; so is a key only one file has. A
-file without a fingerprint (one written before bench.sh stamped them) only
-draws a warning.
+scripts/bench.sh), differs from OLD's. The fingerprint's other keys are
+printed, not refused, when they differ: the vecmath code paths and the
+element-wise loop build ("simd_loops") are what a change under test may
+itself switch, and the transparent-huge-page mode ("hugepages") is a host
+setting that moves large-array timings without changing any result. A
+difference there is part of what the comparison measures; so is a key only
+one file has. A file without a fingerprint (one written before bench.sh
+stamped them) only draws a warning.
 
 Otherwise advisory by design: the exit code is 0 unless the inputs are
 unusable — single-core CI wall times are too noisy to gate on (ROADMAP).
@@ -62,7 +65,8 @@ def load_median(paths):
     return docs, merged
 
 
-# Fingerprint keys that name the host and build; the rest name code paths.
+# Fingerprint keys that name the host and build; the rest name code paths
+# and the huge-page mode.
 HOST_KEYS = ("l2_bytes", "compiler", "build_type")
 
 

@@ -6,6 +6,8 @@
 #include <string>
 #include <thread>
 
+#include "common/simd.h"
+
 namespace mz {
 namespace {
 
@@ -132,6 +134,18 @@ std::size_t CacheLineBytes() {
     return bytes;
   }();
   return cached;
+}
+
+bool CpuHasAvx512F() {
+#if defined(__x86_64__) && defined(__GNUC__)
+  static const bool has = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+  }();
+  return has;
+#else
+  return false;
+#endif
 }
 
 }  // namespace mz

@@ -50,6 +50,7 @@ BatchCollector::~BatchCollector() {
 void BatchCollector::Run(std::function<void()> fn, EvalStats* stats, std::int64_t deadline_ns) {
   Job job;
   job.fn = &fn;
+  job.owner = stats;
 
   std::unique_lock<std::mutex> lock(mu_);
   // A deadline that would expire inside the open batch's window must not
@@ -189,6 +190,21 @@ void BatchCollector::Flush() {
     open_->closed = true;
     cv_open_.notify_all();
   }
+}
+
+void BatchCollector::FlushIfAllRiding(const std::vector<const EvalStats*>& owners) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (open_ == nullptr || open_->closed) {
+    return;
+  }
+  for (const EvalStats* owner : owners) {
+    if (std::none_of(open_->jobs.begin(), open_->jobs.end(),
+                     [owner](const Job* job) { return job->owner == owner; })) {
+      return;
+    }
+  }
+  open_->closed = true;
+  cv_open_.notify_all();
 }
 
 std::int64_t BatchCollector::jobs() const {

@@ -16,8 +16,9 @@
 //     history or when arrivals are farther apart than the window, so a lone
 //     client never pays the window. Followers just enqueue and wait;
 //   * the window closes on max_batch arrivals, on timeout, or on an
-//     explicit Flush (session teardown nudges it so a lone leader never
-//     waits out the window for riders that can no longer arrive);
+//     explicit Flush (a session teardown closes it once every session left
+//     already rides in it, so a leader never waits out the window for
+//     riders that can no longer arrive);
 //   * the leader dispatches the whole batch as ONE ThreadPool submission —
 //     workers claim jobs from the batch, so N small plans cost one handoff
 //     instead of N. A batch of one skips the pool entirely and runs on the
@@ -80,6 +81,11 @@ class BatchCollector {
   // for the dispatch to finish.
   void Flush();
 
+  // Flush, but only when each of `owners` already has a job in the open
+  // window, so none of them can still arrive as a rider. Owners are the
+  // `stats` the jobs were submitted with (one per session).
+  void FlushIfAllRiding(const std::vector<const EvalStats*>& owners);
+
   const BatchOptions& options() const { return opts_; }
 
   // Introspection (tests, benches): totals are cumulative.
@@ -94,6 +100,7 @@ class BatchCollector {
  private:
   struct Job {
     std::function<void()>* fn = nullptr;
+    const EvalStats* owner = nullptr;  // Run's `stats`
     std::exception_ptr error;
     bool ran = false;  // claimed by a dispatch worker (dispatch-failure guard)
   };

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "common/cpu.h"
 #include "common/fault.h"
@@ -71,16 +72,19 @@ void ServingContext::Register(Session* session) {
 }
 
 void ServingContext::Unregister(Session* session) {
-  {
-    std::lock_guard<std::mutex> lock(sessions_mu_);
-    sessions_.erase(session);
-    retired_.Accumulate(session->stats().Take());
-  }
-  // A departing session can no longer ride in an open batch window; nudge
-  // any waiting leader so it does not sleep out the window for riders that
-  // will never arrive.
+  std::lock_guard<std::mutex> lock(sessions_mu_);
+  sessions_.erase(session);
+  retired_.Accumulate(session->stats().Take());
+  // Once every session left already has a job in the open batch window, no
+  // rider can still arrive: wake the waiting leader rather than let it sleep
+  // out the window. While some session could still ride, the arrival
+  // predictor keeps deciding how long the leader waits.
   if (batcher_ != nullptr) {
-    batcher_->Flush();
+    std::vector<const EvalStats*> live;
+    for (Session* other : sessions_) {
+      live.push_back(&other->stats());
+    }
+    batcher_->FlushIfAllRiding(live);
   }
 }
 

@@ -5,12 +5,13 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
-#include <new>
 
 #include "common/aligned.h"
 #include "common/check.h"
 #include "common/cpu.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
+#include "matrix/loops.h"
 
 namespace matrix {
 namespace {
@@ -25,12 +26,13 @@ int EffectiveThreads() {
 constexpr long kParallelGrainElems = 1 << 15;
 
 // Runs body(r0, r1) over row ranges of an `nrows`-row operation, in parallel
-// when the library's internal threading is enabled and the matrix is large.
-template <typename Body>
+// when the library's internal threading is enabled and the matrix is large,
+// as the code built for SIMD path S (common/simd.h).
+template <mz::SimdLoops S = mz::SimdLoops::kBaseline, typename Body>
 void DispatchRows(long nrows, long ncols, Body body) {
   int threads = EffectiveThreads();
   if (threads <= 1 || nrows * ncols < kParallelGrainElems || nrows < 2) {
-    body(0, nrows);
+    mz::RunLoop<S>(body, 0, nrows);
     return;
   }
   long chunk = (nrows + threads - 1) / threads;
@@ -39,7 +41,7 @@ void DispatchRows(long nrows, long ncols, Body body) {
       long lo = static_cast<long>(t) * chunk;
       long hi = lo + chunk < nrows ? lo + chunk : nrows;
       if (lo < hi) {
-        body(lo, hi);
+        mz::RunLoop<S>(body, lo, hi);
       }
     }
   });
@@ -67,11 +69,11 @@ bool Overlaps(const Matrix* a, const Matrix* b) {
   return addr(a->data()) < b_end && addr(b->data()) < a_end;
 }
 
-template <typename F>
+template <mz::SimdLoops S, typename F>
 void MapBinary(const Matrix* a, const Matrix* b, Matrix* out, F f) {
   CheckSameShape(a, b, out);
   long cols = a->cols();
-  DispatchRows(a->rows(), cols, [&](long r0, long r1) {
+  DispatchRows<S>(a->rows(), cols, [&](long r0, long r1) {
     for (long r = r0; r < r1; ++r) {
       const double* __restrict pa = a->row(r);
       const double* __restrict pb = b->row(r);
@@ -83,11 +85,11 @@ void MapBinary(const Matrix* a, const Matrix* b, Matrix* out, F f) {
   });
 }
 
-template <typename F>
+template <mz::SimdLoops S = mz::SimdLoops::kBaseline, typename F>
 void MapUnary(const Matrix* a, Matrix* out, F f) {
   CheckSameShape(a, nullptr, out);
   long cols = a->cols();
-  DispatchRows(a->rows(), cols, [&](long r0, long r1) {
+  DispatchRows<S>(a->rows(), cols, [&](long r0, long r1) {
     for (long r = r0; r < r1; ++r) {
       const double* __restrict pa = a->row(r);
       double* __restrict po = out->row(r);
@@ -98,7 +100,81 @@ void MapUnary(const Matrix* a, Matrix* out, F f) {
   });
 }
 
+// Loop makers for the ElementwiseLoops table: each turns a captureless
+// element operation `Op` into the function that maps it over matrices on
+// SIMD path S.
+template <mz::SimdLoops S, typename Op>
+constexpr internal::UnaryLoop Unary(Op) {
+  return [](const Matrix* a, Matrix* out) { MapUnary<S>(a, out, Op{}); };
+}
+template <mz::SimdLoops S, typename Op>
+constexpr internal::BinaryLoop Binary(Op) {
+  return [](const Matrix* a, const Matrix* b, Matrix* out) { MapBinary<S>(a, b, out, Op{}); };
+}
+// out = op(a, c) element-wise.
+template <mz::SimdLoops S, typename Op>
+constexpr internal::ScalarLoop WithScalar(Op) {
+  return [](const Matrix* a, double c, Matrix* out) {
+    MapUnary<S>(a, out, [c](double x) { return Op{}(x, c); });
+  };
+}
+
+template <mz::SimdLoops S>
+void FillLoop(Matrix* m, double c) {
+  MapUnary<S>(m, m, [c](double) { return c; });
+}
+
+template <mz::SimdLoops S>
+void AddScaledLoop(const Matrix* a, double alpha, const Matrix* b, Matrix* out) {
+  CheckSameShape(a, b, out);
+  long cols = a->cols();
+  DispatchRows<S>(a->rows(), cols, [&](long r0, long r1) {
+    for (long r = r0; r < r1; ++r) {
+      const double* __restrict pa = a->row(r);
+      const double* __restrict pb = b->row(r);
+      double* __restrict po = out->row(r);
+      for (long c = 0; c < cols; ++c) {
+        po[c] = pa[c] + alpha * pb[c];
+      }
+    }
+  });
+}
+
+template <mz::SimdLoops S>
+constexpr internal::ElementwiseLoops kLoops = {
+    .add = Binary<S>([](double x, double y) { return x + y; }),
+    .sub = Binary<S>([](double x, double y) { return x - y; }),
+    .mul = Binary<S>([](double x, double y) { return x * y; }),
+    .div = Binary<S>([](double x, double y) { return x / y; }),
+    .add_scalar = WithScalar<S>([](double x, double c) { return x + c; }),
+    .mul_scalar = WithScalar<S>([](double x, double c) { return x * c; }),
+    // sign(x) * max(|x|, eps).
+    .clamp_magnitude = WithScalar<S>([](double x, double eps) {
+      double m = std::fabs(x);
+      double sign = x < 0 ? -1.0 : 1.0;
+      return sign * (m < eps ? eps : m);
+    }),
+    .sqrt = Unary<S>([](double x) { return std::sqrt(x); }),
+    .abs = Unary<S>([](double x) { return std::fabs(x); }),
+    .inv = Unary<S>([](double x) { return 1.0 / x; }),
+    .copy_matrix = Unary<S>([](double x) { return x; }),
+    .fill = FillLoop<S>,
+    .add_scaled = AddScaledLoop<S>,
+};
+
+// The table this process runs, chosen once from CPUID.
+const internal::ElementwiseLoops& Loops() {
+  static const internal::ElementwiseLoops& loops =
+      mz::CpuHasAvx512F() ? internal::Avx512Loops() : internal::BaselineLoops();
+  return loops;
+}
+
 }  // namespace
+
+namespace internal {
+const ElementwiseLoops& BaselineLoops() { return kLoops<mz::SimdLoops::kBaseline>; }
+const ElementwiseLoops& Avx512Loops() { return kLoops<mz::SimdLoops::kAvx512>; }
+}  // namespace internal
 
 Matrix::Matrix(long rows, long cols) : rows_(rows), cols_(cols), stride_(cols) {
   MZ_CHECK_MSG(rows >= 0 && cols >= 0, "negative matrix dimensions");
@@ -108,17 +184,13 @@ Matrix::Matrix(long rows, long cols) : rows_(rows), cols_(cols), stride_(cols) {
   }
   // Color the base (see common/aligned.h): simulation state is typically
   // many equal power-of-two matrices, which would otherwise be L2-set
-  // congruent and thrash when row bands are pipelined.
-  std::size_t color = mz::internal::NextColorOffset();
-  std::size_t bytes = (count * sizeof(double) + 63) / 64 * 64 + color;
-  char* p = static_cast<char*>(std::aligned_alloc(64, bytes));
-  if (p == nullptr) {
-    throw std::bad_alloc();
-  }
-  std::memset(p, 0, bytes);
-  storage_ = std::shared_ptr<double[]>(reinterpret_cast<double*>(p),
+  // congruent and thrash when row bands are pipelined. Large matrices sit on
+  // huge pages, as large AlignedBuffers do.
+  mz::internal::ArrayAllocation a = mz::internal::AllocateArray(count * sizeof(double));
+  std::memset(a.data, 0, count * sizeof(double));
+  storage_ = std::shared_ptr<double[]>(reinterpret_cast<double*>(a.base),
                                        [](double* q) { std::free(q); });
-  data_ = reinterpret_cast<double*>(p + color);
+  data_ = reinterpret_cast<double*>(a.data);
 }
 
 Matrix Matrix::RowView(const Matrix& parent, long r0, long r1) {
@@ -162,64 +234,29 @@ void SetNumThreads(int threads) {
 
 int GetNumThreads() { return EffectiveThreads(); }
 
-void Add(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x + y; });
-}
-void Sub(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x - y; });
-}
-void Mul(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x * y; });
-}
-void Div(const Matrix* a, const Matrix* b, Matrix* out) {
-  MapBinary(a, b, out, [](double x, double y) { return x / y; });
-}
+void Add(const Matrix* a, const Matrix* b, Matrix* out) { Loops().add(a, b, out); }
+void Sub(const Matrix* a, const Matrix* b, Matrix* out) { Loops().sub(a, b, out); }
+void Mul(const Matrix* a, const Matrix* b, Matrix* out) { Loops().mul(a, b, out); }
+void Div(const Matrix* a, const Matrix* b, Matrix* out) { Loops().div(a, b, out); }
 
-void AddScalar(const Matrix* a, double c, Matrix* out) {
-  MapUnary(a, out, [c](double x) { return x + c; });
-}
-void MulScalar(const Matrix* a, double c, Matrix* out) {
-  MapUnary(a, out, [c](double x) { return x * c; });
-}
+void AddScalar(const Matrix* a, double c, Matrix* out) { Loops().add_scalar(a, c, out); }
+void MulScalar(const Matrix* a, double c, Matrix* out) { Loops().mul_scalar(a, c, out); }
 
-void Fill(Matrix* m, double c) {
-  MapUnary(m, m, [c](double) { return c; });
-}
+void Fill(Matrix* m, double c) { Loops().fill(m, c); }
 
 void AddScaled(const Matrix* a, double alpha, const Matrix* b, Matrix* out) {
-  CheckSameShape(a, b, out);
-  long cols = a->cols();
-  DispatchRows(a->rows(), cols, [&](long r0, long r1) {
-    for (long r = r0; r < r1; ++r) {
-      const double* __restrict pa = a->row(r);
-      const double* __restrict pb = b->row(r);
-      double* __restrict po = out->row(r);
-      for (long c = 0; c < cols; ++c) {
-        po[c] = pa[c] + alpha * pb[c];
-      }
-    }
-  });
+  Loops().add_scaled(a, alpha, b, out);
 }
 
-void Sqrt(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return std::sqrt(x); });
-}
-void Abs(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return std::fabs(x); });
-}
+void Sqrt(const Matrix* a, Matrix* out) { Loops().sqrt(a, out); }
+void Abs(const Matrix* a, Matrix* out) { Loops().abs(a, out); }
 void Pow(const Matrix* a, double exponent, Matrix* out) {
   MapUnary(a, out, [exponent](double x) { return std::pow(x, exponent); });
 }
-void Inv(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return 1.0 / x; });
-}
+void Inv(const Matrix* a, Matrix* out) { Loops().inv(a, out); }
 
 void ClampMagnitude(const Matrix* a, double eps, Matrix* out) {
-  MapUnary(a, out, [eps](double x) {
-    double m = std::fabs(x);
-    double sign = x < 0 ? -1.0 : 1.0;
-    return sign * (m < eps ? eps : m);
-  });
+  Loops().clamp_magnitude(a, eps, out);
 }
 
 void NormalizeAxis(Matrix* m, int axis) {
@@ -385,9 +422,7 @@ void RollCols(const Matrix* a, long shift, Matrix* out) {
   }
 }
 
-void CopyMatrix(const Matrix* a, Matrix* out) {
-  MapUnary(a, out, [](double x) { return x; });
-}
+void CopyMatrix(const Matrix* a, Matrix* out) { Loops().copy_matrix(a, out); }
 
 double SumAll(const Matrix* m) {
   double acc = 0;

@@ -33,6 +33,12 @@ const char* TranscendentalPath();
 // The same for Log1p, whose port of glibc's log1p has its own self-check.
 // The other transcendental kernels always call libm per element.
 const char* Log1pPath();
+// The code the IEEE-exact element-wise kernels (arithmetic, Sqrt, Floor,
+// compares, Select, Fill, ...) run: "avx512" for loops compiled for
+// AVX-512F, eight lanes per instruction, on CPUs that have it; "baseline"
+// for the same loops compiled for baseline x86-64 (SSE2). Both write the
+// same bytes.
+const char* SimdLoopsPath();
 
 // --- unary: out[i] = f(a[i]) ---
 void Sqrt(long n, const double* a, double* out);

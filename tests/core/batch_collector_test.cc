@@ -2,7 +2,8 @@
 // drive the collector directly (coalescing, max-batch close, flush,
 // exception routing); the end-to-end tests check that N sessions' small
 // plans produce bit-identical results batched vs. unbatched, and that a
-// session teardown flushes an open batch window. A leader waits only as
+// session teardown flushes an open batch window once no session left can
+// still ride in it, and only then. A leader waits only as
 // long as the arrival predictor expects a rider, so tests that need an open
 // window prime it with real arrivals a known gap apart (PrimeWindow). The
 // assertions are on batch membership, not wall-clock durations, per the
@@ -294,6 +295,40 @@ TEST(BatchCollectorSessionTest, SessionTeardownFlushesTheOpenWindow) {
   leader.join();
   EXPECT_EQ(collector.jobs(), 4);
   EXPECT_EQ(collector.coalesced_jobs(), 0) << "an evaluation joined a flushed window";
+}
+
+TEST(BatchCollectorSessionTest, SessionTeardownLeavesTheWindowOpenForAnIdleSession) {
+  mzvec::EnsureRegistered();
+  ServingContext ctx(ServingOptions{
+      .pool_threads = 2, .max_pool_sessions = 2, .serial_cutoff_elems = 4096,
+      .batch_window_us = kForeverUs, .batch_max_plans = 8});
+  BatchCollector& collector = *ctx.batcher();
+
+  const long n = 256;
+  auto evaluate_sqrt = [&](Session& session) {
+    std::vector<double> a(static_cast<std::size_t>(n), 4.0);
+    std::vector<double> out(static_cast<std::size_t>(n));
+    Session::Scope scope(session);
+    mzvec::Sqrt(n, a.data(), out.data());
+    session.Evaluate();
+    EXPECT_EQ(out, std::vector<double>(static_cast<std::size_t>(n), 2.0));
+  };
+  SessionOptions opts;
+  opts.serving = &ctx;
+  Session idle(opts);  // registered, with no job in the window yet
+  PrimeWindow(collector);
+  std::thread leader([&] {
+    Session session(opts);
+    evaluate_sqrt(session);  // leads a batch and waits for riders
+  });
+  WaitForJobs(collector, 3);
+  {
+    Session departing(opts);  // the idle session can still ride: no flush
+  }
+  evaluate_sqrt(idle);  // rides the leader's still-open window
+  leader.join();
+  EXPECT_EQ(collector.jobs(), 4);
+  EXPECT_EQ(collector.coalesced_jobs(), 2) << "the idle session's evaluation did not ride";
 }
 
 }  // namespace

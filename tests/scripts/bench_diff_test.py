@@ -6,9 +6,9 @@ Usage: bench_diff_test.py PATH/TO/bench_diff.py
 Writes tiny BENCH documents to a temporary directory and asserts the exit
 codes: matching scale, threads and host fingerprint compare (exit 0); a
 differing "threads", "scale" or fingerprint host key in any NEW file is
-refused (non-zero, both values named); a differing vecmath path or a key
-only one file has compares with a note; an OLD file without a fingerprint
-compares with a warning.
+refused (non-zero, both values named); a differing vecmath path, SIMD loop
+build or transparent-huge-page mode, or a key only one file has, compares
+with a note; an OLD file without a fingerprint compares with a warning.
 """
 import json
 import os
@@ -19,7 +19,7 @@ import tempfile
 
 FINGERPRINT = {"l2_bytes": 2097152, "compiler": "GNU-12.2.0",
                "build_type": "RelWithDebInfo", "transcendental_path": "avx512",
-               "log1p_path": "avx512"}
+               "log1p_path": "avx512", "simd_loops": "avx512", "hugepages": "madvise"}
 
 
 def write_bench(directory, name, threads, scale, seconds, fingerprint=FINGERPRINT):
@@ -94,6 +94,18 @@ def main():
         elif ("transcendental_path" not in r.stderr or '"avx512"' not in r.stderr
               or '"scalar"' not in r.stderr):
             failures.append(f"differing vecmath path is not noted: {r.stderr.strip()}")
+
+        # The element-wise loop build and the huge-page mode change timings
+        # but may differ between a change and its parent's host; noted only.
+        for key, value in (("simd_loops", "baseline"), ("hugepages", "never")):
+            other = write_bench(d, f"{key}.json", threads=1, scale=1, seconds=2.0,
+                                fingerprint=dict(FINGERPRINT, **{key: value}))
+            r = run(script, old, other)
+            if r.returncode != 0:
+                failures.append(f"differing {key} exited {r.returncode}: {r.stderr.strip()}")
+            elif (key not in r.stderr or f'"{FINGERPRINT[key]}"' not in r.stderr
+                  or f'"{value}"' not in r.stderr):
+                failures.append(f"differing {key} is not noted: {r.stderr.strip()}")
 
         extra = write_bench(d, "extra.json", threads=1, scale=1, seconds=2.0,
                             fingerprint=dict(FINGERPRINT, sin_path="avx512"))

@@ -10,8 +10,14 @@
 // Reductions get finite inputs spanning many magnitudes, so any change to
 // the summation order changes the digest.
 //
+// The IEEE-exact element-wise kernels are built twice, for baseline x86-64
+// and for AVX-512F (common/simd.h). Their cases run three times: through the
+// public functions, and through each build's loop table, so both builds must
+// write the digests' bytes whichever one this CPU selects. The AVX-512 run is
+// skipped on a CPU without AVX-512F.
+//
 // A build-flag or kernel change must reproduce these digests exactly; a
-// mismatch prints the new digest in the same form as the table below. The
+// mismatch prints the new digest in the same form as the tables below. The
 // transcendental cases (Exp, Log, Erf, Sin, Pow, ...) pin glibc's scalar
 // libm results, so those digests are specific to that C library and to the
 // variant of each function it selects for the CPU (FMA or not).
@@ -26,7 +32,10 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
+#include "matrix/loops.h"
 #include "matrix/matrix.h"
+#include "vecmath/loops.h"
 #include "vecmath/vecmath.h"
 
 namespace {
@@ -272,10 +281,11 @@ struct Case {
   std::uint64_t digest;
 };
 
+// The kernels with one build each: libm-backed, reductions, rolls,
+// broadcasts and view-aware writers.
 const std::vector<Case>& Cases() {
   static const std::vector<Case> cases = {
-      // --- vecmath unary ---
-      {"vec/Sqrt", [] { return Unary(vecmath::Sqrt); }, 0x9cafa2d0828708d4ull},
+      // --- vecmath libm-backed unary ---
       {"vec/Exp", [] { return Unary(vecmath::Exp); }, 0x63ada4cd6b835b7full},
       {"vec/Log", [] { return Unary(vecmath::Log); }, 0x8dcee7e368d2fb84ull},
       {"vec/Log1p", [] { return Unary(vecmath::Log1p); }, 0x1f7d0061eca03e3cull},
@@ -293,75 +303,12 @@ const std::vector<Case>& Cases() {
       {"vec/Asin", [] { return Unary(vecmath::Asin); }, 0xdbb9954dbf06202bull},
       {"vec/Acos", [] { return Unary(vecmath::Acos); }, 0xb998d8e77de50611ull},
       {"vec/Atan", [] { return Unary(vecmath::Atan); }, 0x77ae43bf78fced5ull},
-      {"vec/Abs", [] { return Unary(vecmath::Abs); }, 0x579774fff2c7b730ull},
-      {"vec/Neg", [] { return Unary(vecmath::Neg); }, 0x931243cd6d6f72b0ull},
-      {"vec/Inv", [] { return Unary(vecmath::Inv); }, 0x1bc5d30e2b71fd62ull},
-      {"vec/Sqr", [] { return Unary(vecmath::Sqr); }, 0x40dbe7dcfc62f6eull},
-      {"vec/Floor", [] { return Unary(vecmath::Floor); }, 0x443c6919339bbbccull},
-      {"vec/Ceil", [] { return Unary(vecmath::Ceil); }, 0x4d7f05f6b98f371cull},
-      {"vec/Copy", [] { return Unary(vecmath::Copy); }, 0x9c01a1ac42da8f30ull},
 
-      // --- vecmath binary ---
-      {"vec/Add", [] { return Binary(vecmath::Add); }, 0xb70ad8f24f030838ull},
-      {"vec/Sub", [] { return Binary(vecmath::Sub); }, 0x32caeeb308691703ull},
-      {"vec/Mul", [] { return Binary(vecmath::Mul); }, 0x7efe72ab3cc08599ull},
-      {"vec/Div", [] { return Binary(vecmath::Div); }, 0xaf49a9823b71024aull},
+      // --- vecmath libm-backed binary and array ∘ scalar ---
       {"vec/Pow", [] { return Binary(vecmath::Pow); }, 0x7575ddaac3ce221ull},
       {"vec/Atan2", [] { return Binary(vecmath::Atan2); }, 0xbef883f8b05b0afeull},
       {"vec/Hypot", [] { return Binary(vecmath::Hypot); }, 0xad4e6cf8458c5fcbull},
-      {"vec/Max", [] { return Binary(vecmath::Max); }, 0x6626145976190a2cull},
-      {"vec/Min", [] { return Binary(vecmath::Min); }, 0x945ac55ff6d11c61ull},
-      {"vec/GreaterThan", [] { return Binary(vecmath::GreaterThan); }, 0xca14ce320aeef065ull},
-      {"vec/LessThan", [] { return Binary(vecmath::LessThan); }, 0x482d2c7c3b63e578ull},
-      // In place: `out` aliases `a`, as in MKL's vdAdd(n, a, b, a).
-      {"vec/Add_inplace",
-       [] {
-         std::vector<double> io = In().a;
-         vecmath::Add(kN, io.data() + 1, B(), io.data() + 1);
-         Fnv1a h;
-         h.Doubles(io.data() + 1, kN);
-         return h.value();
-       },
-       0xb70ad8f24f030838ull},
-
-      // --- vecmath array ∘ scalar ---
-      {"vec/AddC", [] { return Scalar(vecmath::AddC); }, 0x675bea36855ea4f5ull},
-      {"vec/SubC", [] { return Scalar(vecmath::SubC); }, 0x89522b827a187733ull},
-      {"vec/MulC", [] { return Scalar(vecmath::MulC); }, 0xf7a98633ba7e0e3full},
-      {"vec/DivC", [] { return Scalar(vecmath::DivC); }, 0x16234c80e901f765ull},
-      {"vec/RSubC", [] { return Scalar(vecmath::RSubC); }, 0x66209e269d05e76aull},
-      {"vec/RDivC", [] { return Scalar(vecmath::RDivC); }, 0xda5e1982c3d4e2a7ull},
       {"vec/PowC", [] { return Scalar(vecmath::PowC); }, 0x56704da28541898aull},
-
-      // --- vecmath fused, selection, L1 BLAS ---
-      {"vec/Fma", [] { return Out([](double* o) { vecmath::Fma(kN, A(), B(), C(), o); }); },
-       0xdf20856653bde0b0ull},
-      {"vec/Select",
-       [] {
-         return Out([](double* o) { vecmath::Select(kN, In().cond.data() + 1, A(), B(), o); });
-       },
-       0x77a408c266da95f6ull},
-      {"vec/Axpy",
-       [] {
-         Fnv1a h;
-         for (double alpha : {-1.75, -0.0, kInf}) {
-           std::vector<double> y = In().b;
-           vecmath::Axpy(kN, alpha, A(), y.data() + 3);
-           h.Doubles(y.data() + 3, kN);
-         }
-         return h.value();
-       },
-       0x38ebc61a761b019cull},
-      {"vec/Fill",
-       [] {
-         Fnv1a h;
-         for (double c : {-0.0, kPayloadNaN, 3.25}) {
-           std::uint64_t d = Out([c](double* o) { vecmath::Fill(kN, c, o); });
-           h.Bytes(&d, sizeof(d));
-         }
-         return h.value();
-       },
-       0x4e8e5096a3f4cf71ull},
 
       // --- vecmath reductions ---
       {"vec/Sum", [] { return Reduction([](const double* p) { return vecmath::Sum(kN, p); }); },
@@ -381,28 +328,8 @@ const std::vector<Case>& Cases() {
        [] { return Reduction([](const double* p) { return vecmath::MinReduce(kN, p); }); },
        0xc53c9b07fd86f379ull},
 
-      // --- matrix element-wise ---
-      {"mat/Add", [] { return MatViews(matrix::Add); }, 0xcc2ec363322c30baull},
-      {"mat/Sub", [] { return MatViews(matrix::Sub); }, 0x65a0e4c92733e347ull},
-      {"mat/Mul", [] { return MatViews(matrix::Mul); }, 0xe7e13fef740fb802ull},
-      {"mat/Div", [] { return MatViews(matrix::Div); }, 0x39a9fd5b07f8573eull},
-      {"mat/Sqrt", [] { return MatUnary(matrix::Sqrt); }, 0x804c98afec22ef1bull},
-      {"mat/Abs", [] { return MatUnary(matrix::Abs); }, 0xe0728c355bb54f45ull},
-      {"mat/Inv", [] { return MatUnary(matrix::Inv); }, 0xa58d78c2de49ff66ull},
-      {"mat/CopyMatrix", [] { return MatUnary(matrix::CopyMatrix); }, 0xef7cbc95ca6d53abull},
-      {"mat/AddScalar", [] { return MatScalar(matrix::AddScalar, -2.5); }, 0x9147f387f74dc41aull},
-      {"mat/MulScalar", [] { return MatScalar(matrix::MulScalar, -0.0); }, 0xf5b117c6e6a48c11ull},
+      // --- matrix libm-backed element-wise ---
       {"mat/Pow", [] { return MatScalar(matrix::Pow, -1.5); }, 0xb36f3786f79cb1caull},
-      {"mat/ClampMagnitude", [] { return MatScalar(matrix::ClampMagnitude, 1e-3); }, 0xc3b1d4c85d00773eull},
-      {"mat/AddScaled",
-       [] {
-         const MatInputs& m = MIn();
-         return MatOut(m.va.rows(), kCols,
-                       [&](Matrix* o) { matrix::AddScaled(&m.va, -0.75, &m.vb, o); });
-       },
-       0x83e0c751fc07a7f5ull},
-      {"mat/Fill",
-       [] { return MatOut(kRows, kCols, [](Matrix* o) { matrix::Fill(o, -0.0); }); }, 0xe9605bdc821ffe45ull},
 
       // --- matrix rolls ---
       {"mat/RollRows_bands",
@@ -506,15 +433,143 @@ const std::vector<Case>& Cases() {
   return cases;
 }
 
-TEST(ArrayKernelIdentity, OutputBytesMatchGoldenDigests) {
+// The IEEE-exact element-wise kernels, which vecmath and matrix build once
+// per SIMD path, run through the loop tables `vec` and `mat`.
+std::vector<Case> ElementwiseCases(const vecmath::internal::ElementwiseLoops& vec,
+                                   const matrix::internal::ElementwiseLoops& mat) {
+  return {
+      // --- vecmath ---
+      {"vec/Sqrt", [&] { return Unary(vec.sqrt); }, 0x9cafa2d0828708d4ull},
+      {"vec/Abs", [&] { return Unary(vec.abs); }, 0x579774fff2c7b730ull},
+      {"vec/Neg", [&] { return Unary(vec.neg); }, 0x931243cd6d6f72b0ull},
+      {"vec/Inv", [&] { return Unary(vec.inv); }, 0x1bc5d30e2b71fd62ull},
+      {"vec/Sqr", [&] { return Unary(vec.sqr); }, 0x40dbe7dcfc62f6eull},
+      {"vec/Floor", [&] { return Unary(vec.floor); }, 0x443c6919339bbbccull},
+      {"vec/Ceil", [&] { return Unary(vec.ceil); }, 0x4d7f05f6b98f371cull},
+      {"vec/Copy", [&] { return Unary(vec.copy); }, 0x9c01a1ac42da8f30ull},
+      {"vec/Add", [&] { return Binary(vec.add); }, 0xb70ad8f24f030838ull},
+      {"vec/Sub", [&] { return Binary(vec.sub); }, 0x32caeeb308691703ull},
+      {"vec/Mul", [&] { return Binary(vec.mul); }, 0x7efe72ab3cc08599ull},
+      {"vec/Div", [&] { return Binary(vec.div); }, 0xaf49a9823b71024aull},
+      {"vec/Max", [&] { return Binary(vec.max); }, 0x6626145976190a2cull},
+      {"vec/Min", [&] { return Binary(vec.min); }, 0x945ac55ff6d11c61ull},
+      {"vec/GreaterThan", [&] { return Binary(vec.greater_than); }, 0xca14ce320aeef065ull},
+      {"vec/LessThan", [&] { return Binary(vec.less_than); }, 0x482d2c7c3b63e578ull},
+      // In place: `out` aliases `a`, as in MKL's vdAdd(n, a, b, a).
+      {"vec/Add_inplace",
+       [&] {
+         std::vector<double> io = In().a;
+         vec.add(kN, io.data() + 1, B(), io.data() + 1);
+         Fnv1a h;
+         h.Doubles(io.data() + 1, kN);
+         return h.value();
+       },
+       0xb70ad8f24f030838ull},
+      {"vec/AddC", [&] { return Scalar(vec.add_c); }, 0x675bea36855ea4f5ull},
+      {"vec/SubC", [&] { return Scalar(vec.sub_c); }, 0x89522b827a187733ull},
+      {"vec/MulC", [&] { return Scalar(vec.mul_c); }, 0xf7a98633ba7e0e3full},
+      {"vec/DivC", [&] { return Scalar(vec.div_c); }, 0x16234c80e901f765ull},
+      {"vec/RSubC", [&] { return Scalar(vec.rsub_c); }, 0x66209e269d05e76aull},
+      {"vec/RDivC", [&] { return Scalar(vec.rdiv_c); }, 0xda5e1982c3d4e2a7ull},
+      {"vec/Fma", [&] { return Out([&](double* o) { vec.fma(kN, A(), B(), C(), o); }); },
+       0xdf20856653bde0b0ull},
+      {"vec/Select",
+       [&] {
+         return Out([&](double* o) { vec.select(kN, In().cond.data() + 1, A(), B(), o); });
+       },
+       0x77a408c266da95f6ull},
+      {"vec/Axpy",
+       [&] {
+         Fnv1a h;
+         for (double alpha : {-1.75, -0.0, kInf}) {
+           std::vector<double> y = In().b;
+           vec.axpy(kN, alpha, A(), y.data() + 3);
+           h.Doubles(y.data() + 3, kN);
+         }
+         return h.value();
+       },
+       0x38ebc61a761b019cull},
+      {"vec/Fill",
+       [&] {
+         Fnv1a h;
+         for (double c : {-0.0, kPayloadNaN, 3.25}) {
+           std::uint64_t d = Out([&, c](double* o) { vec.fill(kN, c, o); });
+           h.Bytes(&d, sizeof(d));
+         }
+         return h.value();
+       },
+       0x4e8e5096a3f4cf71ull},
+
+      // --- matrix ---
+      {"mat/Add", [&] { return MatViews(mat.add); }, 0xcc2ec363322c30baull},
+      {"mat/Sub", [&] { return MatViews(mat.sub); }, 0x65a0e4c92733e347ull},
+      {"mat/Mul", [&] { return MatViews(mat.mul); }, 0xe7e13fef740fb802ull},
+      {"mat/Div", [&] { return MatViews(mat.div); }, 0x39a9fd5b07f8573eull},
+      {"mat/Sqrt", [&] { return MatUnary(mat.sqrt); }, 0x804c98afec22ef1bull},
+      {"mat/Abs", [&] { return MatUnary(mat.abs); }, 0xe0728c355bb54f45ull},
+      {"mat/Inv", [&] { return MatUnary(mat.inv); }, 0xa58d78c2de49ff66ull},
+      {"mat/CopyMatrix", [&] { return MatUnary(mat.copy_matrix); }, 0xef7cbc95ca6d53abull},
+      {"mat/AddScalar", [&] { return MatScalar(mat.add_scalar, -2.5); }, 0x9147f387f74dc41aull},
+      {"mat/MulScalar", [&] { return MatScalar(mat.mul_scalar, -0.0); }, 0xf5b117c6e6a48c11ull},
+      {"mat/ClampMagnitude", [&] { return MatScalar(mat.clamp_magnitude, 1e-3); },
+       0xc3b1d4c85d00773eull},
+      {"mat/AddScaled",
+       [&] {
+         const MatInputs& m = MIn();
+         return MatOut(m.va.rows(), kCols,
+                       [&](Matrix* o) { mat.add_scaled(&m.va, -0.75, &m.vb, o); });
+       },
+       0x83e0c751fc07a7f5ull},
+      {"mat/Fill",
+       [&] { return MatOut(kRows, kCols, [&](Matrix* o) { mat.fill(o, -0.0); }); },
+       0xe9605bdc821ffe45ull},
+  };
+}
+
+// The public kernels, as loop tables: whichever path this CPU selects.
+const vecmath::internal::ElementwiseLoops kPublicVec = {
+    .sqrt = vecmath::Sqrt, .abs = vecmath::Abs, .neg = vecmath::Neg, .inv = vecmath::Inv,
+    .sqr = vecmath::Sqr, .floor = vecmath::Floor, .ceil = vecmath::Ceil, .copy = vecmath::Copy,
+    .add = vecmath::Add, .sub = vecmath::Sub, .mul = vecmath::Mul, .div = vecmath::Div,
+    .max = vecmath::Max, .min = vecmath::Min, .greater_than = vecmath::GreaterThan,
+    .less_than = vecmath::LessThan, .add_c = vecmath::AddC, .sub_c = vecmath::SubC,
+    .mul_c = vecmath::MulC, .div_c = vecmath::DivC, .rsub_c = vecmath::RSubC,
+    .rdiv_c = vecmath::RDivC, .fma = vecmath::Fma, .axpy = vecmath::Axpy,
+    .select = vecmath::Select, .fill = vecmath::Fill};
+const matrix::internal::ElementwiseLoops kPublicMat = {
+    .add = matrix::Add, .sub = matrix::Sub, .mul = matrix::Mul, .div = matrix::Div,
+    .add_scalar = matrix::AddScalar, .mul_scalar = matrix::MulScalar,
+    .clamp_magnitude = matrix::ClampMagnitude, .sqrt = matrix::Sqrt, .abs = matrix::Abs,
+    .inv = matrix::Inv, .copy_matrix = matrix::CopyMatrix, .fill = matrix::Fill,
+    .add_scaled = matrix::AddScaled};
+
+void ExpectGoldenDigests(const std::vector<Case>& cases) {
   // Reductions fold per-thread partials when the library runs threaded;
   // pin the serial fold the digests record.
   vecmath::SetNumThreads(1);
   matrix::SetNumThreads(1);
-  for (const Case& c : Cases()) {
+  for (const Case& c : cases) {
     std::uint64_t got = c.run();
     EXPECT_EQ(got, c.digest) << c.name << ": got 0x" << std::hex << got << "ull";
   }
+}
+
+TEST(ArrayKernelIdentity, OutputBytesMatchGoldenDigests) {
+  ExpectGoldenDigests(Cases());
+  ExpectGoldenDigests(ElementwiseCases(kPublicVec, kPublicMat));
+}
+
+TEST(ArrayKernelIdentity, BaselineLoopsMatchGoldenDigests) {
+  ExpectGoldenDigests(ElementwiseCases(vecmath::internal::BaselineLoops(),
+                                       matrix::internal::BaselineLoops()));
+}
+
+TEST(ArrayKernelIdentity, Avx512LoopsMatchGoldenDigests) {
+  if (!mz::CpuHasAvx512F()) {
+    GTEST_SKIP() << "this CPU lacks AVX-512F; the 8-lane loops cannot run here";
+  }
+  ExpectGoldenDigests(ElementwiseCases(vecmath::internal::Avx512Loops(),
+                                       matrix::internal::Avx512Loops()));
 }
 
 }  // namespace
