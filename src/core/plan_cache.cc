@@ -15,16 +15,9 @@ namespace {
 
 // Fingerprint format version: bump when the word stream changes so stale
 // processes (or a future persisted cache) can never mix formats.
-// v2: per-arg-slot default-split totals probe (the planner's stage totals
-// probe reads value lengths — unbound-generic streams of different lengths
-// plan differently, so the lengths must key differently too).
-// v3: the probe hashes bytes-per-element alongside total elements (the
-// planner's footprint hints fall back to the probed width for
-// schema-dependent streams, so equal keys must imply equal hints), and
-// plans gained the pipeline-region annotation.
-// v4: every argument's split-expression kind is hashed (a halo and a "_"
-// plan identically but size batches differently).
-constexpr std::uint64_t kFormatVersion = 4;
+// v5: one read of the range — a slot's facts (flags, C++ type, default-split
+// probe) are hashed once, at its first appearance.
+constexpr std::uint64_t kFormatVersion = 5;
 // Marker hashed in place of ctor parameters when the constructor defers
 // (nullopt: a parameter depends on a still-pending value).
 constexpr std::uint64_t kDeferredCtor = 0x9e3779b97f4a7c15ull;
@@ -74,23 +67,48 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
                                   int end, bool pipeline) {
   MZ_CHECK(first >= 0 && first <= end && end <= graph.num_nodes());
   RangeFingerprint out;
+  out.first = first;
+  out.end = end;
+  out.pipeline = pipeline;
   WordSink sink{&out.key.words};
 
-  std::unordered_map<SlotId, std::uint64_t> local;
-  auto local_id = [&](SlotId s) {
-    auto it = local.find(s);
-    if (it != local.end()) {
-      return it->second;
+  // Each slot is read once, at its first appearance; later uses hash only
+  // its canonical id.
+  auto put_slot = [&](SlotId s) {
+    auto [it, fresh] = out.canon_ids.emplace(s, static_cast<std::uint32_t>(out.slots.size()));
+    sink.Put(it->second);
+    if (!fresh) {
+      return;
     }
-    std::uint64_t id = out.canon_slots.size();
-    local.emplace(s, id);
-    out.canon_slots.push_back(s);
-    return id;
+    const Slot& slot = graph.slot(s);
+    SlotFacts facts{.id = s,
+                    .pending = slot.pending,
+                    .external = slot.external,
+                    .observed = slot.external_refs > 0,
+                    .type = slot.value.has_value()
+                                ? std::optional<std::type_index>(slot.value.type())
+                                : std::nullopt,
+                    .probe = registry.ProbeRuntimeInfo(slot.value)};  // nullopt while empty
+    sink.Put((facts.pending ? 1u : 0u) | (facts.type.has_value() ? 2u : 0u) |
+             (facts.external ? 4u : 0u) | (facts.observed ? 8u : 0u));
+    if (const std::optional<RuntimeInfo>& p = facts.probe; facts.type.has_value()) {
+      sink.Put(static_cast<std::uint64_t>(facts.type->hash_code()));
+      sink.Put(p.has_value() ? static_cast<std::uint64_t>(p->total_elements) + 1 : 0);
+      sink.Put(p.has_value() ? static_cast<std::uint64_t>(p->bytes_per_element) + 1 : 0);
+    }
+    out.slots.push_back(std::move(facts));
   };
-  auto slot_flags = [&](const Slot& s) -> std::uint64_t {
-    return (s.pending ? 1u : 0u) | (s.value.has_value() ? 2u : 0u) | (s.external ? 4u : 0u) |
-           (s.external_refs > 0 ? 8u : 0u);
-  };
+
+  std::size_t uses = 0;  // argument and return slots: sizes the records up front
+  for (int n = first; n < end; ++n) {
+    uses += graph.nodes()[static_cast<std::size_t>(n)].args.size() + 1;
+  }
+  out.key.words.reserve(4 + 6 * uses);
+  out.canon_ids.reserve(uses);
+  out.slots.reserve(uses);
+  out.ctors.reserve(uses);
+  out.ctor_base.reserve(static_cast<std::size_t>(end - first));
+  out.pins.reserve(2 * static_cast<std::size_t>(end - first));
 
   sink.Put(kFormatVersion);
   out.registry_version = registry.version();
@@ -107,32 +125,16 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
     out.pins.push_back(node.fn);
     const bool has_ret = node.ret != kInvalidSlot;
     sink.Put(node.args.size() | (has_ret ? (1ull << 32) : 0));
-
     for (SlotId s : node.args) {
-      const Slot& slot = graph.slot(s);
-      sink.Put(local_id(s));
-      sink.Put(slot_flags(slot));
-      if (slot.value.has_value()) {
-        sink.Put(static_cast<std::uint64_t>(slot.value.type().hash_code()));
-        // The planner's stage totals probe (planner.cc) turns unbound-
-        // generic streams of different lengths into stage breaks, and its
-        // footprint hints read the probed bytes-per-element, so both probe
-        // results are planner inputs and must be part of the key.
-        std::optional<RuntimeInfo> probe = registry.ProbeRuntimeInfo(slot.value);
-        sink.Put(probe.has_value() ? static_cast<std::uint64_t>(probe->total_elements) + 1 : 0);
-        sink.Put(probe.has_value() ? static_cast<std::uint64_t>(probe->bytes_per_element) + 1
-                                   : 0);
-      }
+      put_slot(s);
     }
     if (has_ret) {
-      sink.Put(local_id(node.ret));
-      sink.Put(slot_flags(graph.slot(node.ret)));
+      put_slot(node.ret);
     }
 
-    // Concrete split expressions bake their constructor results into the
-    // plan (planner.cc ClassForConcreteExpr), so the results are part of the
-    // key: same pipeline over differently-sized data must key differently.
+    out.ctor_base.push_back(out.ctors.size());
     auto put_ctor = [&](const SplitExpr& expr) {
+      CtorParams& params = out.ctors.emplace_back();
       if (expr.kind != SplitExpr::Kind::kConcrete) {
         return;
       }
@@ -141,8 +143,7 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
       for (int idx : expr.ctor_arg_indices) {
         ctor_args.push_back(graph.slot(node.args[static_cast<std::size_t>(idx)]).value);
       }
-      std::optional<std::vector<std::int64_t>> params =
-          registry.RunCtor(expr.split_name, ctor_args);
+      params = registry.RunCtor(expr.split_name, ctor_args);
       if (!params.has_value()) {
         sink.Put(kDeferredCtor);
         return;
@@ -158,6 +159,8 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
     }
     if (has_ret) {
       put_ctor(node.ann->ret());
+    } else {
+      out.ctors.emplace_back();
     }
   }
 
@@ -165,36 +168,31 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
   return out;
 }
 
-Plan MakePlanTemplate(const Plan& plan, std::span<const SlotId> canon_slots, int first_node) {
-  std::unordered_map<SlotId, SlotId> to_local;
-  to_local.reserve(canon_slots.size());
-  for (std::size_t i = 0; i < canon_slots.size(); ++i) {
-    to_local.emplace(canon_slots[i], static_cast<SlotId>(i));
-  }
+Plan MakePlanTemplate(const Plan& plan, const RangeFingerprint& range) {
   Plan tmpl = plan;
   for (Stage& stage : tmpl.stages) {
     for (StageBuffer& buf : stage.buffers) {
-      auto it = to_local.find(buf.slot);
-      MZ_CHECK_MSG(it != to_local.end(),
+      auto it = range.canon_ids.find(buf.slot);
+      MZ_CHECK_MSG(it != range.canon_ids.end(),
                    "plan references slot " << buf.slot << " outside the fingerprinted range");
       buf.slot = it->second;
     }
     for (PlannedFunc& pf : stage.funcs) {
-      pf.node_index -= first_node;
+      pf.node_index -= range.first;
     }
   }
   return tmpl;
 }
 
-Plan InstantiatePlan(const Plan& tmpl, std::span<const SlotId> canon_slots, int first_node) {
+Plan InstantiatePlan(const Plan& tmpl, const RangeFingerprint& range) {
   Plan plan = tmpl;
   for (Stage& stage : plan.stages) {
     for (StageBuffer& buf : stage.buffers) {
-      MZ_CHECK_MSG(buf.slot < canon_slots.size(), "template slot id out of range");
-      buf.slot = canon_slots[buf.slot];
+      MZ_CHECK_MSG(buf.slot < range.slots.size(), "template slot id out of range");
+      buf.slot = range.slots[buf.slot].id;
     }
     for (PlannedFunc& pf : stage.funcs) {
-      pf.node_index += first_node;
+      pf.node_index += range.first;
     }
   }
   return plan;

@@ -2,17 +2,18 @@
 //
 // Weld-style lazy runtimes pay a planning cost on every evaluation; for
 // serving workloads the same pipeline is evaluated over and over (often with
-// fresh data in the same shape), so Mozart amortizes `Planner::Plan` across
-// invocations by keying plans on the *structure* of the captured node range:
+// fresh data in the same shape), so Mozart amortizes `Planner::Build` across
+// invocations by keying plans on the *structure* of the captured node range.
 //
-//   * the identity of each node's annotation and wrapped function,
-//   * arity and the slot-aliasing pattern among arguments and returns
-//     (canonicalized to first-appearance order, never raw pointers),
-//   * per-slot planning inputs: pending / materialized, external aliasing,
-//     live Future handles, and the held C++ type,
-//   * split-type constructor results (so `vdAdd(n=1000, ...)` and
-//     `vdAdd(n=2000, ...)` key differently — plans bake ctor parameters in),
-//   * the registry version and the pipelining flag.
+// FingerprintRange is the one plan-time read of a range's slots. In one pass
+// it records every value-derived fact the planner reads — per distinct slot
+// its flags, held C++ type and default-split Info() probe; per concrete
+// split expression its constructor result — and hashes exactly those
+// records, together with each node's annotation and function identity,
+// arity, slot-aliasing pattern (canonical first-appearance ids, never raw
+// pointers), split-expression kinds, the registry version and the pipelining
+// flag. The planner reads values only through these records, so equal keys
+// give equal plans by construction.
 //
 // Data pointers and value contents are deliberately NOT part of the key:
 // evaluating the same pipeline over different buffers of the same size is
@@ -49,7 +50,8 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <span>
+#include <optional>
+#include <typeindex>
 #include <unordered_map>
 #include <vector>
 
@@ -70,36 +72,49 @@ struct PlanKey {
   }
 };
 
-// Output of fingerprinting a node range [first, end):
-//  * key        — structural key (see file comment for what it covers);
-//  * canon_slots — canonical local id -> actual SlotId for this range, in
-//    first-appearance order over (args..., ret) of each node;
-//  * pins       — shared_ptrs to every annotation/function whose pointer
-//    identity the key contains (stored with the cache entry);
-//  * registry_version — the version the key was computed against. Callers
-//    must re-check it before inserting a plan built afterwards: a
-//    registration between fingerprint and plan would otherwise cache a
-//    new-registry plan under an old-version key.
-struct RangeFingerprint {
-  PlanKey key;
-  std::vector<SlotId> canon_slots;
-  std::vector<std::shared_ptr<const void>> pins;
-  std::uint64_t registry_version = 0;
+// What the planner may read about one slot of the range.
+struct SlotFacts {
+  SlotId id = kInvalidSlot;             // the graph slot (the key holds canonical ids)
+  bool pending = false;
+  bool external = false;                // aliases user memory
+  bool observed = false;                // pinned by a live Future handle
+  std::optional<std::type_index> type;  // held value's C++ type; empty while pending
+  std::optional<RuntimeInfo> probe;     // Info() under the type's default split
 };
 
-// Fingerprints nodes [first, end). Runs concrete split-type constructors
-// (they must be pure and cheap — see docs/ANNOTATING.md) and reads
-// registry.version(), so a registry change invalidates all prior keys.
+// The one read of nodes [first, end) and the key over it.
+struct RangeFingerprint {
+  PlanKey key;  // over exactly the records below (file comment)
+  int first = 0;
+  int end = 0;
+  bool pipeline = true;
+  std::unordered_map<SlotId, std::uint32_t> canon_ids;  // SlotId -> canonical id
+  std::vector<SlotFacts> slots;        // by canonical id: first-appearance order
+  std::vector<CtorParams> ctors;       // args.size() + 1 entries per node
+  std::vector<std::size_t> ctor_base;  // node - first -> its first entry in ctors
+  // Annotations/functions whose pointer identity the key contains.
+  std::vector<std::shared_ptr<const void>> pins;
+  std::uint64_t registry_version = 0;  // re-check before caching a plan built later
+
+  const SlotFacts& slot(SlotId s) const { return slots[canon_ids.at(s)]; }
+  // Constructor result of node `n`'s argument `arg`; arg == args.size() is
+  // the return. Empty for non-concrete expressions.
+  const CtorParams& ctor(int n, std::size_t arg) const {
+    return ctors[ctor_base[static_cast<std::size_t>(n - first)] + arg];
+  }
+};
+
+// Runs each concrete split-type constructor and each slot's default-split
+// probe once (both must be pure and cheap — see docs/ANNOTATING.md).
 RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& registry, int first,
                                   int end, bool pipeline);
 
-// Rewrites a freshly built plan for [first_node, ...) into a reusable
-// template: node indices relative, buffer slots replaced by canonical ids.
-Plan MakePlanTemplate(const Plan& plan, std::span<const SlotId> canon_slots, int first_node);
+// Rewrites a freshly built plan of `range` into a reusable template: node
+// indices relative, buffer slots replaced by canonical ids.
+Plan MakePlanTemplate(const Plan& plan, const RangeFingerprint& range);
 
-// Instantiates a template against the current graph range whose canonical
-// slot map is `canon_slots` (from FingerprintRange of that same range).
-Plan InstantiatePlan(const Plan& tmpl, std::span<const SlotId> canon_slots, int first_node);
+// Instantiates a template against the graph range `range` read.
+Plan InstantiatePlan(const Plan& tmpl, const RangeFingerprint& range);
 
 // Allocator-true footprint of one resident entry: walks every heap block the
 // stored key words, template, and pins own and sums what the allocator

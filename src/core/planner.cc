@@ -5,11 +5,12 @@
 
 #include "common/check.h"
 #include "common/logging.h"
+#include "core/plan_cache.h"
 
 namespace mz {
 
-Planner::Planner(const TaskGraph& graph, const Registry& registry, bool pipeline)
-    : graph_(graph), registry_(registry), pipeline_(pipeline) {}
+Planner::Planner(const TaskGraph& graph, const Registry& registry, const RangeFingerprint& range)
+    : graph_(graph), registry_(registry), range_(range) {}
 
 int Planner::NewClass() {
   Class c;
@@ -79,35 +80,26 @@ void Planner::SoftUnify(int a, int b) {
   cb.parent = ra;
 }
 
-int Planner::ClassForConcreteExpr(const SplitExpr& expr, const Node& node) {
-  // Gather the constructor's argument values from the captured slots. A
-  // still-pending produced value is passed as an empty Value; constructors
-  // that need it return nullopt and parameter computation is deferred.
-  std::vector<Value> ctor_args;
-  ctor_args.reserve(expr.ctor_arg_indices.size());
-  for (int idx : expr.ctor_arg_indices) {
-    const Slot& slot = graph_.slot(node.args[static_cast<std::size_t>(idx)]);
-    ctor_args.push_back(slot.value);  // may be empty when pending
-  }
-  std::optional<std::vector<std::int64_t>> params =
-      registry_.RunCtor(expr.split_name, ctor_args);
+// A constructor that needs a still-pending value returned nullopt: the
+// class keeps only the name, and parameter computation is deferred.
+int Planner::ClassForConcreteExpr(InternedId name, const CtorParams& params) {
   int c = NewClass();
   Class& cls = classes_[static_cast<std::size_t>(c)];
   if (params.has_value()) {
     cls.bound = true;
-    cls.type = SplitType::Concrete(expr.split_name, std::move(*params));
+    cls.type = SplitType::Concrete(name, *params);
   } else {
-    cls.name_constraint = expr.split_name;
+    cls.name_constraint = name;
   }
   return c;
 }
 
-void Planner::InferTypes(int first_node, int end_node) {
+void Planner::InferTypes() {
   std::unordered_map<SlotId, int> slot_class;
-  arg_classes_.assign(static_cast<std::size_t>(end_node - first_node), {});
-  ret_classes_.assign(static_cast<std::size_t>(end_node - first_node), -1);
+  arg_classes_.assign(static_cast<std::size_t>(range_.end - range_.first), {});
+  ret_classes_.assign(static_cast<std::size_t>(range_.end - range_.first), -1);
 
-  for (int n = first_node; n < end_node; ++n) {
+  for (int n = range_.first; n < range_.end; ++n) {
     const Node& node = graph_.nodes()[static_cast<std::size_t>(n)];
     const Annotation& ann = *node.ann;
     std::unordered_map<std::string, int> local_generics;
@@ -121,7 +113,7 @@ void Planner::InferTypes(int first_node, int end_node) {
       return c;
     };
 
-    std::vector<int>& arg_cls = arg_classes_[static_cast<std::size_t>(n - first_node)];
+    std::vector<int>& arg_cls = arg_classes_[static_cast<std::size_t>(n - range_.first)];
     arg_cls.assign(node.args.size(), -1);
 
     for (std::size_t i = 0; i < node.args.size(); ++i) {
@@ -129,7 +121,7 @@ void Planner::InferTypes(int first_node, int end_node) {
       int c = -1;
       switch (expr.kind) {
         case SplitExpr::Kind::kConcrete:
-          c = ClassForConcreteExpr(expr, node);
+          c = ClassForConcreteExpr(expr.split_name, range_.ctor(n, i));
           break;
         case SplitExpr::Kind::kGeneric:
           c = generic_class(expr.generic);
@@ -163,7 +155,7 @@ void Planner::InferTypes(int first_node, int end_node) {
       int c = -1;
       switch (rexpr.kind) {
         case SplitExpr::Kind::kConcrete:
-          c = ClassForConcreteExpr(rexpr, node);
+          c = ClassForConcreteExpr(rexpr.split_name, range_.ctor(n, node.args.size()));
           break;
         case SplitExpr::Kind::kGeneric:
           c = generic_class(rexpr.generic);
@@ -178,7 +170,7 @@ void Planner::InferTypes(int first_node, int end_node) {
         default:
           break;  // kNone / kMissing: untyped return (serial nodes)
       }
-      ret_classes_[static_cast<std::size_t>(n - first_node)] = c;
+      ret_classes_[static_cast<std::size_t>(n - range_.first)] = c;
       if (c >= 0) {
         slot_class[node.ret] = Find(c);
       }
@@ -186,9 +178,8 @@ void Planner::InferTypes(int first_node, int end_node) {
   }
 }
 
-Plan Planner::Build(int first_node, int end_node) {
-  MZ_CHECK(first_node >= 0 && first_node <= end_node && end_node <= graph_.num_nodes());
-  InferTypes(first_node, end_node);
+Plan Planner::Build() {
+  InferTypes();
 
   Plan plan;
   Stage cur;
@@ -206,10 +197,8 @@ Plan Planner::Build(int first_node, int end_node) {
   // co-reside in a stage (no concrete-name conflict) and only fail at
   // execution with "stage inputs disagree on total elements". Probe such
   // streams' materialized sources through their default split types
-  // (Registry::ProbeTotalElements — also hashed by the plan-cache
-  // fingerprint, so cached plans reproduce the breaks), propagate the totals
-  // along inference classes, and turn a disagreement into a stage break like
-  // the concrete-name case.
+  // (SlotFacts::probe), propagate the totals along inference classes, and
+  // turn a disagreement into a stage break like the concrete-name case.
   std::unordered_map<int, std::int64_t> class_totals;  // class root → probed total
   std::int64_t stage_probe = -1;
   auto probe_of_arg = [&](SlotId s, int c) -> std::optional<std::int64_t> {
@@ -221,13 +210,9 @@ Plan Planner::Build(int first_node, int end_node) {
     if (cls.name_constraint != kNoConstraint) {
       return std::nullopt;  // deferred concrete ctor: params arrive late
     }
-    const Slot& slot = graph_.slot(s);
-    if (slot.value.has_value()) {
-      std::optional<std::int64_t> t = registry_.ProbeTotalElements(slot.value);
-      if (t.has_value()) {
-        class_totals.emplace(root, *t);
-        return t;
-      }
+    if (const auto& probe = range_.slot(s).probe; probe.has_value()) {
+      class_totals.emplace(root, probe->total_elements);
+      return probe->total_elements;
     }
     auto it = class_totals.find(root);
     if (it != class_totals.end()) {
@@ -250,8 +235,8 @@ Plan Planner::Build(int first_node, int end_node) {
       }
       // Produced value: merge it only if something outside the stage can
       // observe it — a live Future handle or a later node in the graph.
-      const Slot& slot = graph_.slot(buf.slot);
-      if (slot.external_refs > 0 || slot.external || graph_.UsedAfter(buf.slot, stage_last_node)) {
+      const SlotFacts& slot = range_.slot(buf.slot);
+      if (slot.observed || slot.external || graph_.UsedAfter(buf.slot, stage_last_node)) {
         buf.is_output = true;
       }
     }
@@ -333,10 +318,10 @@ Plan Planner::Build(int first_node, int end_node) {
     }
   };
 
-  for (int n = first_node; n < end_node; ++n) {
+  for (int n = range_.first; n < range_.end; ++n) {
     const Node& node = graph_.nodes()[static_cast<std::size_t>(n)];
     const Annotation& ann = *node.ann;
-    const std::vector<int>& arg_cls = arg_classes_[static_cast<std::size_t>(n - first_node)];
+    const std::vector<int>& arg_cls = arg_classes_[static_cast<std::size_t>(n - range_.first)];
 
     if (ann.IsSerial()) {
       // Unsplittable call: runs alone, unsplit (cf. the Bohrium indexing
@@ -363,7 +348,7 @@ Plan Planner::Build(int first_node, int end_node) {
       continue;
     }
 
-    if (!pipeline_) {
+    if (!range_.pipeline) {
       close_stage();  // ablation: one node per stage
     }
 
@@ -446,7 +431,7 @@ Plan Planner::Build(int first_node, int end_node) {
       pf.args.push_back({buf_idx});
     }
     if (node.ret != kInvalidSlot) {
-      int c = ret_classes_[static_cast<std::size_t>(n - first_node)];
+      int c = ret_classes_[static_cast<std::size_t>(n - range_.first)];
       StageBuffer buf;
       buf.slot = node.ret;
       if (c >= 0) {
@@ -469,8 +454,8 @@ Plan Planner::Build(int first_node, int end_node) {
   AnnotateFootprints(&plan);
   AnnotatePipeline(&plan);
 
-  MZ_LOG(Debug) << "planned " << plan.stages.size() << " stage(s) for nodes [" << first_node
-                << ", " << end_node << ")";
+  MZ_LOG(Debug) << "planned " << plan.stages.size() << " stage(s) for nodes [" << range_.first
+                << ", " << range_.end << ")";
   return plan;
 }
 
@@ -594,7 +579,7 @@ void Planner::AnnotateCarries(Plan* plan) {
         continue;
       }
 
-      const Slot& slot = graph_.slot(b.slot);
+      const SlotFacts& slot = range_.slot(b.slot);
       const int root = Find(b.class_id);
       const Class& cls = classes_[static_cast<std::size_t>(root)];
       const bool concrete = cls.bound && !cls.type.is_unknown() && !b.use_default_split &&
@@ -604,24 +589,18 @@ void Planner::AnnotateCarries(Plan* plan) {
       }
 
       bool identity = false;
-      if (slot.value.has_value()) {
-        std::optional<InternedId> name;
-        if (concrete) {
-          name = b.split_name;
-        } else {
-          name = registry_.DefaultSplitTypeFor(slot.value.type());
-        }
-        if (name.has_value()) {
-          const Splitter* sp = registry_.FindSplitter(*name, slot.value.type());
-          identity = sp != nullptr && sp->traits().merge_is_identity;
-        }
+      if (slot.type.has_value()) {
+        const std::optional<InternedId> name =
+            concrete ? std::optional(b.split_name) : registry_.DefaultSplitTypeFor(*slot.type);
+        const Splitter* sp = name.has_value() ? registry_.FindSplitter(*name, *slot.type) : nullptr;
+        identity = sp != nullptr && sp->traits().merge_is_identity;
       }
       bool deferred = false;
       if (!identity) {
         if (slot.external || later_consumers || first_has_broadcast) {
           continue;
         }
-        if (slot.external_refs > 0) {
+        if (slot.observed) {
           // Pinned by a live Future. The pieces the consumer sees share
           // storage with the pieces we would park on the slot, so defer the
           // merge into Future::get() only when the consumer reads them
@@ -718,10 +697,7 @@ void Planner::AnnotateCarries(Plan* plan) {
 // resolved parameters (a MatrixSplit row is `cols * 8` bytes), the traits
 // constant, then — for streams whose splitter cannot know (a frame's row
 // width depends on its schema) — the bytes-per-element a probe of a
-// materialized same-class value reports. Everything here is a pure function
-// of fingerprinted planner inputs (split names, held C++ types, registry
-// version, and the per-slot Info probe the fingerprint hashes), so
-// plan-cache templates reproduce the hints bit-identically.
+// materialized same-class value reports.
 void Planner::AnnotateFootprints(Plan* plan) {
   // First pass — stream defaults: an unbound generic chain's element width
   // comes from its materialized source; propagate both the source's default
@@ -738,16 +714,15 @@ void Planner::AnnotateFootprints(Plan* plan) {
       if (buf.class_id < 0) {
         continue;
       }
-      const Slot& slot = graph_.slot(buf.slot);
-      if (!slot.value.has_value()) {
+      const SlotFacts& slot = range_.slot(buf.slot);
+      if (!slot.type.has_value()) {
         continue;
       }
-      if (auto dflt = registry_.DefaultSplitTypeFor(slot.value.type()); dflt.has_value()) {
+      if (auto dflt = registry_.DefaultSplitTypeFor(*slot.type); dflt.has_value()) {
         class_defaults.emplace(buf.class_id, *dflt);
       }
-      if (auto info = registry_.ProbeRuntimeInfo(slot.value);
-          info.has_value() && info->bytes_per_element > 0) {
-        class_probed_bpe.emplace(buf.class_id, info->bytes_per_element);
+      if (slot.probe.has_value() && slot.probe->bytes_per_element > 0) {
+        class_probed_bpe.emplace(buf.class_id, slot.probe->bytes_per_element);
       }
     }
   }
@@ -756,13 +731,11 @@ void Planner::AnnotateFootprints(Plan* plan) {
       continue;
     }
     for (StageBuffer& buf : stage.buffers) {
+      const SlotFacts& slot = range_.slot(buf.slot);
       InternedId name = buf.split_name;
-      if (name == 0) {
-        const Slot& slot = graph_.slot(buf.slot);
-        if (slot.value.has_value()) {
-          if (auto dflt = registry_.DefaultSplitTypeFor(slot.value.type()); dflt.has_value()) {
-            name = *dflt;
-          }
+      if (name == 0 && slot.type.has_value()) {
+        if (auto dflt = registry_.DefaultSplitTypeFor(*slot.type); dflt.has_value()) {
+          name = *dflt;
         }
       }
       if (name == 0 && buf.class_id >= 0) {
@@ -774,21 +747,16 @@ void Planner::AnnotateFootprints(Plan* plan) {
       if (name != 0) {
         // Parameters resolved at plan time give the exact width; otherwise
         // the splitters' static constant.
-        width = name == buf.split_name && !buf.params_deferred && !buf.params.empty()
-                    ? registry_.ElementWidthForSplitType(name, buf.params)
-                    : registry_.ElementWidthForSplitType(name);
+        static const std::vector<std::int64_t> kNoParams;
+        const bool exact = name == buf.split_name && !buf.params_deferred;
+        width = registry_.ElementWidthForSplitType(name, exact ? buf.params : kNoParams);
       }
       if (width == 0) {
         // Schema-dependent streams (frames): fall back to the probed
         // bytes-per-element of this slot's value, or of any materialized
-        // value in the same inference class. The fingerprint hashes the
-        // probe, so warm templates carry the same number.
-        const Slot& slot = graph_.slot(buf.slot);
-        if (slot.value.has_value()) {
-          if (auto info = registry_.ProbeRuntimeInfo(slot.value);
-              info.has_value() && info->bytes_per_element > 0) {
-            width = info->bytes_per_element;
-          }
+        // value in the same inference class.
+        if (slot.probe.has_value() && slot.probe->bytes_per_element > 0) {
+          width = slot.probe->bytes_per_element;
         }
         if (width == 0 && buf.class_id >= 0) {
           if (auto it = class_probed_bpe.find(buf.class_id); it != class_probed_bpe.end()) {

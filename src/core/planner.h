@@ -78,8 +78,6 @@ struct StageBuffer {
   //    SplitterTraits in splitter.h);
   //  * carry_in — this split input receives carried pieces; no Split calls,
   //    and the stage's batch structure is the carried pieces' ranges.
-  // Both are pure functions of fingerprinted planner inputs, so cached plan
-  // templates reproduce them exactly on warm instantiation.
   bool carry_out = false;
   bool carry_in = false;
 
@@ -96,9 +94,7 @@ struct StageBuffer {
   // element_width via the registry). The executor prefers live Info() for
   // freshly split inputs and falls back to this hint for buffers it cannot
   // Info() — produced values and carried pieces — so each stage's batch is
-  // sized by the bytes *that stage* keeps live per element. Derived purely
-  // from fingerprinted inputs (split names, value C++ types, registry
-  // version), so plan templates reproduce it bit-identically.
+  // sized by the bytes *that stage* keeps live per element.
   std::int64_t elem_bytes_hint = 0;
 
   // Planning-internal: inference class root for same-stream checks.
@@ -118,8 +114,7 @@ struct Stage {
   // *pipelineable region* — the executor may overlap them across the batch
   // loop (batch i in stage k while batch i-1 runs stage k+1). -1 when the
   // stage is not part of any region; a stage's depth is its position in
-  // the region. Derived purely from fingerprinted planner inputs, so cached
-  // templates reproduce the schedule exactly.
+  // the region.
   int pipeline_region = -1;  // region id, shared by the region's stages
 };
 
@@ -128,23 +123,24 @@ struct Stage {
 // *templates* are Plans whose node indices are range-relative and whose
 // slot fields hold canonical local ids instead of SlotIds, rewritten on
 // instantiation. Keep any new graph reference added here representable
-// under that rewrite. The carry fields (carry_{in,out}, {feeds,takes}_
-// carries) are plain value state derived from fingerprinted inputs, so they
-// ride the template verbatim.
+// under that rewrite; every other field rides the template verbatim.
 struct Plan {
   std::vector<Stage> stages;
 };
 
+struct RangeFingerprint;
+
 class Planner {
  public:
-  // `pipeline=false` reproduces the paper's "-pipe" ablation (Table 4):
-  // every node gets its own stage — still split and parallelized, never
-  // pipelined with its neighbours.
-  Planner(const TaskGraph& graph, const Registry& registry, bool pipeline);
+  // Plans the node range `range` recorded, reading its values only through
+  // those records, which the plan-cache key hashes (plan_cache.h). Its
+  // `pipeline=false` reproduces the paper's "-pipe" ablation (Table 4): every
+  // node gets its own stage — split and parallelized, never pipelined.
+  Planner(const TaskGraph& graph, const Registry& registry, const RangeFingerprint& range);
 
-  // Plans nodes [first_node, end_node). Throws mz::Error on annotations the
-  // runtime cannot execute (e.g. a non-serial node with a mut "_" argument).
-  Plan Build(int first_node, int end_node);
+  // Throws mz::Error on annotations the runtime cannot execute (e.g. a
+  // non-serial node with a mut "_" argument).
+  Plan Build();
 
  private:
   struct Class {
@@ -163,7 +159,7 @@ class Planner {
   bool SameStream(int a, int b);
 
   // Inference pass: fills arg_classes_ / ret_classes_.
-  void InferTypes(int first_node, int end_node);
+  void InferTypes();
 
   // Post-pass over the built stages: marks StageBuffer::carry_{in,out} for
   // boundary buffers whose pieces can pass to the consuming stage (same
@@ -182,11 +178,11 @@ class Planner {
   // Stage::pipeline_{region,depth}. See the eligibility rules in planner.cc.
   void AnnotatePipeline(Plan* plan);
 
-  int ClassForConcreteExpr(const SplitExpr& expr, const Node& node);
+  int ClassForConcreteExpr(InternedId name, const CtorParams& params);
 
   const TaskGraph& graph_;
   const Registry& registry_;
-  bool pipeline_;
+  const RangeFingerprint& range_;
 
   std::vector<Class> classes_;
   std::uint64_t next_unknown_id_ = 1;

@@ -1,6 +1,7 @@
 #include "core/registry.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/check.h"
 
@@ -86,19 +87,6 @@ bool Registry::SplitTypeSupportsIncrementalMerge(InternedId name) const {
   return true;
 }
 
-std::int64_t Registry::ElementWidthForSplitType(InternedId name) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  auto it = types_.find(name);
-  if (it == types_.end()) {
-    return 0;
-  }
-  std::int64_t width = 0;
-  for (const auto& [type, splitter] : it->second.splitters) {
-    width = std::max(width, splitter->traits().element_width);
-  }
-  return width;
-}
-
 std::int64_t Registry::ElementWidthForSplitType(InternedId name,
                                                 std::span<const std::int64_t> params) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
@@ -108,7 +96,8 @@ std::int64_t Registry::ElementWidthForSplitType(InternedId name,
   }
   std::int64_t width = 0;
   for (const auto& [type, splitter] : it->second.splitters) {
-    width = std::max(width, splitter->WidthForParams(params));
+    width = std::max(width, params.empty() ? splitter->traits().element_width
+                                           : splitter->WidthForParams(params));
   }
   return width;
 }
@@ -125,14 +114,6 @@ std::shared_ptr<const Splitter> Registry::FindSplitterShared(InternedId name,
     return nullptr;
   }
   return jt->second;
-}
-
-std::optional<std::int64_t> Registry::ProbeTotalElements(const Value& value) const {
-  std::optional<RuntimeInfo> info = ProbeRuntimeInfo(value);
-  if (!info.has_value()) {
-    return std::nullopt;
-  }
-  return info->total_elements;
 }
 
 std::optional<RuntimeInfo> Registry::ProbeRuntimeInfo(const Value& value) const {
@@ -166,8 +147,7 @@ std::optional<RuntimeInfo> Registry::ProbeRuntimeInfo(const Value& value) const 
   }
 }
 
-std::optional<std::vector<std::int64_t>> Registry::RunCtor(InternedId name,
-                                                           std::span<const Value> args) const {
+CtorParams Registry::RunCtor(InternedId name, std::span<const Value> args) const {
   SplitTypeCtor ctor;
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
@@ -215,6 +195,39 @@ std::vector<std::type_index> Registry::TypesForSplitType(InternedId name) const 
     }
   }
   return out;
+}
+
+namespace {
+
+class MergeOnlySplitter final : public Splitter {
+ public:
+  MergeOnlySplitter(std::string_view name, MergeFunction merge, SplitterTraits traits)
+      : name_(name), merge_(merge), traits_(traits) {}
+  RuntimeInfo Info(const Value&, std::span<const std::int64_t>) const override {
+    MZ_THROW(name_ << " is merge-only; it cannot appear on an argument");
+  }
+  Value Split(const Value&, std::int64_t, std::int64_t, std::span<const std::int64_t>,
+              const SplitContext&) const override {
+    MZ_THROW(name_ << " is merge-only; it cannot be split");
+  }
+  Value Merge(const Value& original, std::vector<Value> pieces,
+              std::span<const std::int64_t> params) const override {
+    return merge_(original, std::move(pieces), params);
+  }
+  SplitterTraits traits() const override { return traits_; }
+
+ private:
+  std::string name_;
+  MergeFunction merge_;
+  SplitterTraits traits_;
+};
+
+}  // namespace
+
+std::shared_ptr<Splitter> MakeMergeOnlySplitter(std::string_view name, MergeFunction merge,
+                                                SplitterTraits traits) {
+  traits.merge_only = true;
+  return std::make_shared<MergeOnlySplitter>(name, merge, traits);
 }
 
 }  // namespace mz

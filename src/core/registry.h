@@ -14,8 +14,8 @@
 // planner and executor hot path — take shared locks and proceed in parallel.
 //
 // Every mutation bumps a monotonic version counter. The plan cache keys on
-// it (plan_cache.h): cached plans bake in ctor results and default split
-// types, so any registry change must invalidate them.
+// it (plan_cache.h): cached plans bake in default split types and splitter
+// traits, so any registry change must invalidate them.
 #ifndef MOZART_CORE_REGISTRY_H_
 #define MOZART_CORE_REGISTRY_H_
 
@@ -43,8 +43,8 @@ namespace mz {
 // ctor-argument list. Returns nullopt when a parameter depends on a value
 // that is still pending (empty Value) — the planner then defers parameter
 // computation to execution time ("late" constructor).
-using SplitTypeCtor =
-    std::function<std::optional<std::vector<std::int64_t>>(std::span<const Value> args)>;
+using CtorParams = std::optional<std::vector<std::int64_t>>;
+using SplitTypeCtor = std::function<CtorParams(std::span<const Value> args)>;
 
 // Computes a default split type's parameters directly from a full value at
 // execution time (used for defaults and deferred constructors).
@@ -83,44 +83,26 @@ class Registry {
   // through a non-incremental merge silently double-counts.
   bool SplitTypeSupportsIncrementalMerge(InternedId name) const;
 
-  // Splitter-declared per-element footprint for streams of this split type
-  // (the max element_width across the type's registered splitters; 0 when
-  // unknown). Feeds the planner's per-stage footprint model for buffers the
-  // executor cannot Info() — produced values and carried pieces.
-  std::int64_t ElementWidthForSplitType(InternedId name) const;
-
-  // Parameter-exact variant: asks each splitter's WidthForParams so split
-  // types whose element width depends on their parameters (MatrixSplit rows
-  // are `cols * 8` bytes) report the real footprint instead of the traits
-  // constant. Falls back to the constant when no splitter knows better.
+  // Splitter-declared per-element footprint of this split type's streams: the
+  // max over its splitters of WidthForParams(params) — exact for types whose
+  // width depends on their parameters (MatrixSplit rows are `cols * 8` bytes)
+  // — or of traits().element_width when `params` is empty; 0 when unknown.
+  // Feeds the planner's footprint model for produced values and carried pieces.
   std::int64_t ElementWidthForSplitType(InternedId name,
-                                        std::span<const std::int64_t> params) const;
+                                        std::span<const std::int64_t> params = {}) const;
 
   // Like FindSplitter, but returns the owning handle. Deferred merges
   // (lazy merge-on-get, task_graph.h) outlive the evaluation that resolved
   // the splitter, so they must pin it against re-registration.
   std::shared_ptr<const Splitter> FindSplitterShared(InternedId name, std::type_index type) const;
 
-  // Element total of `value` under its C++ type's default split type, or
-  // nullopt when no default/splitter applies. Used by the planner's stage
-  // totals probe (two independent unbound-generic chains of different
-  // lengths must stage-break, not fail at execution) and by the plan-cache
-  // fingerprint, which must hash the same probe so cached plans reproduce
-  // the breaks. Must stay cheap and pure: late ctor + Info only.
-  std::optional<std::int64_t> ProbeTotalElements(const Value& value) const;
-
-  // Full Info() probe under the default split type: total elements plus the
-  // exact bytes-per-element the splitter reports for *this* value. The
-  // planner's footprint model uses the width for streams whose splitter
-  // cannot derive it from parameters alone (a frame's row width depends on
-  // its schema), and the plan-cache fingerprint hashes it so equal keys
-  // imply equal footprint hints. Same purity/cheapness contract as
-  // ProbeTotalElements (which this subsumes).
+  // Info() of `value` under its C++ type's default split type (late ctor +
+  // Info only, so cheap and pure), or nullopt when no default/splitter
+  // applies or Info throws.
   std::optional<RuntimeInfo> ProbeRuntimeInfo(const Value& value) const;
 
   // Runs the split type's constructor; nullopt = deferred.
-  std::optional<std::vector<std::int64_t>> RunCtor(InternedId name,
-                                                   std::span<const Value> args) const;
+  CtorParams RunCtor(InternedId name, std::span<const Value> args) const;
 
   // Runs the split type's late constructor against a full value.
   std::vector<std::int64_t> RunLateCtor(InternedId name, const Value& value) const;
@@ -159,6 +141,19 @@ void RegisterTypedSplitter(Registry& registry, std::string_view name,
                            typename TypedSplitter<T>::WidthFn width = nullptr) {
   registry.AddSplitter(name, std::type_index(typeid(T)),
                        std::make_shared<TypedSplitter<T>>(info, split, merge, traits, width));
+}
+
+// Splitter of a merge-only split type (reductions, partial aggregations):
+// sets traits.merge_only; Info and Split throw mz::Error naming the type.
+std::shared_ptr<Splitter> MakeMergeOnlySplitter(std::string_view name, MergeFunction merge,
+                                                SplitterTraits traits);
+
+// Convenience: registers a merge-only splitter for (name, T).
+template <typename T>
+void RegisterMergeOnlySplitter(Registry& registry, std::string_view name, MergeFunction merge,
+                               SplitterTraits traits = {}) {
+  registry.AddSplitter(name, std::type_index(typeid(T)),
+                       MakeMergeOnlySplitter(name, merge, traits));
 }
 
 }  // namespace mz

@@ -176,35 +176,32 @@ void Runtime::EvaluateLockedImpl(const EvalOptions& eval_opts) {
     pre_evaluate_hook_();  // lazy heap: unprotect before workers touch memory
   }
 
-  // Plan — through the cache when one is wired up. Fingerprinting, lookup,
-  // and template instantiation all count as planner time, so Fig. 5's
-  // breakdown shows exactly what the cache saves.
+  // Plan from the one read of the range (FingerprintRange), through the
+  // cache when one is wired up. Reading, lookup, and template instantiation
+  // all count as planner time, so Fig. 5's breakdown shows what the cache saves.
   Plan plan;
   {
     ScopedAccumTimer timer(&stats_.planner_ns);
-    bool cached = false;
-    RangeFingerprint fp;
+    RangeFingerprint fp = FingerprintRange(graph_, *registry_, first, end, opts_.pipeline);
+    std::shared_ptr<const Plan> tmpl;
     if (opts_.plan_cache != nullptr) {
       MZ_FAULT("plan_cache.lookup");
-      fp = FingerprintRange(graph_, *registry_, first, end, opts_.pipeline);
-      if (std::shared_ptr<const Plan> tmpl = opts_.plan_cache->Lookup(fp.key)) {
-        plan = InstantiatePlan(*tmpl, fp.canon_slots, first);
-        stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        cached = true;
-      }
+      tmpl = opts_.plan_cache->Lookup(fp.key);
     }
-    if (!cached) {
-      Planner planner(graph_, *registry_, opts_.pipeline);
-      plan = planner.Build(first, end);
+    if (tmpl != nullptr) {
+      plan = InstantiatePlan(*tmpl, fp);
+      stats_.plan_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    } else {
+      plan = Planner(graph_, *registry_, fp).Build();
       stats_.plans_built.fetch_add(1, std::memory_order_relaxed);
       if (opts_.plan_cache != nullptr) {
         stats_.plan_cache_misses.fetch_add(1, std::memory_order_relaxed);
         // A registration between the fingerprint and Build would bake
-        // new-registry ctor results into a plan filed under the old-version
-        // key; skip the insert and let the next evaluation re-key.
+        // new-registry lookups into a plan filed under the old-version key;
+        // skip the insert and let the next evaluation re-key.
         if (registry_->version() == fp.registry_version) {
           PlanCacheInsertOutcome outcome = opts_.plan_cache->Insert(
-              fp.key, MakePlanTemplate(plan, fp.canon_slots, first), std::move(fp.pins));
+              fp.key, MakePlanTemplate(plan, fp), std::move(fp.pins));
           stats_.plan_cache_bytes_inserted.fetch_add(
               static_cast<std::int64_t>(outcome.inserted_bytes), std::memory_order_relaxed);
           stats_.plan_cache_evictions.fetch_add(

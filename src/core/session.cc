@@ -4,8 +4,10 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/cpu.h"
 #include "common/fault.h"
 #include "common/timer.h"
@@ -145,6 +147,19 @@ bool ServingContext::Drain(std::int64_t deadline_ns) {
 
 Session::Session(SessionOptions opts)
     : serving_(opts.serving != nullptr ? opts.serving : &ServingContext::Default()) {
+  // The admission identity and quotas are SessionOptions' own fields; set on
+  // `runtime`, they would be overwritten below without a word.
+  const RuntimeOptions unset;
+  for (const auto& [set, field] :
+       {std::pair{opts.runtime.admission_session != unset.admission_session, "admission_session"},
+        std::pair{opts.runtime.admission_weight != unset.admission_weight, "admission_weight"},
+        std::pair{opts.runtime.quota_evals_per_sec != unset.quota_evals_per_sec,
+                  "quota_evals_per_sec"},
+        std::pair{opts.runtime.quota_bytes_per_sec != unset.quota_bytes_per_sec,
+                  "quota_bytes_per_sec"}}) {
+    MZ_THROW_IF(set, "SessionOptions::runtime." << field << " is ignored; set SessionOptions::"
+                                                 << field << " instead");
+  }
   RuntimeOptions rt_opts = opts.runtime;
   rt_opts.shared_pool = &serving_->pool();
   rt_opts.plan_cache = &serving_->plan_cache();

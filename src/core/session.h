@@ -133,8 +133,10 @@ class ServingContext {
 
 struct SessionOptions {
   // Per-session runtime knobs. shared_pool / plan_cache / admission /
-  // serial_cutoff_elems are overwritten with the serving context's wiring;
-  // num_threads is ignored (the pool is shared).
+  // serial_cutoff_elems / batcher are overwritten with the serving context's
+  // wiring; num_threads is ignored (the pool is shared). The admission
+  // identity and quotas are the fields below: setting admission_session,
+  // admission_weight or quota_{evals,bytes}_per_sec here throws mz::Error.
   RuntimeOptions runtime;
   ServingContext* serving = nullptr;  // null = ServingContext::Default()
   // Identity for the gate's per-session round-robin. 0 = auto-assign a

@@ -103,6 +103,9 @@ class Splitter {
   }
 };
 
+// Merge written as a plain function (TypedSplitter, RegisterMergeOnlySplitter).
+using MergeFunction = Value (*)(const Value&, std::vector<Value>, std::span<const std::int64_t>);
+
 // Adapter for the common case: a splitter over values holding (or pointing
 // to) a single C++ type, written as three lambdas / static functions.
 //
@@ -115,7 +118,7 @@ class TypedSplitter final : public Splitter {
   using InfoFn = RuntimeInfo (*)(const T&, std::span<const std::int64_t>);
   using SplitFn = Value (*)(const T&, std::int64_t, std::int64_t, std::span<const std::int64_t>,
                             const SplitContext&);
-  using MergeFn = Value (*)(const Value&, std::vector<Value>, std::span<const std::int64_t>);
+  using MergeFn = MergeFunction;
   using WidthFn = std::int64_t (*)(std::span<const std::int64_t>);
 
   TypedSplitter(InfoFn info, SplitFn split, MergeFn merge, SplitterTraits traits = {},

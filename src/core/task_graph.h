@@ -45,12 +45,8 @@ struct DeferredMergeState {
   std::vector<std::int64_t> params;
 };
 
-// Every field below except `deferred` is a planner input, and therefore part
-// of the plan cache's structural fingerprint (plan_cache.h): pending/
-// external/external_refs and the held value's C++ type are hashed per slot.
-// (`deferred` is resolved before any slot re-enters capture or planning, so
-// the planner never observes it.) If a field's planning semantics change,
-// bump kFormatVersion in plan_cache.cc.
+// The planner reads slots only through FingerprintRange's SlotFacts
+// (plan_cache.h); `deferred` is resolved before a slot re-enters capture.
 struct Slot {
   SlotId id = kInvalidSlot;
   Value value;              // current full value (empty while pending if produced by a node)

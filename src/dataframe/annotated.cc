@@ -71,22 +71,6 @@ Value FrameMerge(const Value& original, std::vector<Value> pieces,
 
 // ---- GroupSplit<num_keys, op>: partial aggregations (merge-only) ----
 
-RuntimeInfo GroupInfo(const DataFrame& frame, std::span<const std::int64_t> params) {
-  (void)frame;
-  (void)params;
-  MZ_THROW("GroupSplit is merge-only; it cannot appear on an argument");
-}
-
-Value GroupSplitFn(const DataFrame& frame, std::int64_t start, std::int64_t end,
-                   std::span<const std::int64_t> params, const SplitContext& ctx) {
-  (void)frame;
-  (void)start;
-  (void)end;
-  (void)params;
-  (void)ctx;
-  MZ_THROW("GroupSplit is merge-only; it cannot be split");
-}
-
 Value GroupMerge(const Value& original, std::vector<Value> pieces,
                  std::span<const std::int64_t> params) {
   (void)original;
@@ -210,9 +194,8 @@ void RegisterSplits() {
     // every aggregation op folds commutatively, kMean included because
     // GroupByAgg emits sum and count partials — so grouped partials may
     // accumulate firing-by-firing in a stream (incremental_merge).
-    mz::RegisterTypedSplitter<DataFrame>(reg, "GroupSplit", GroupInfo, GroupSplitFn, GroupMerge,
-                                         mz::SplitterTraits{.merge_only = true,
-                                                            .incremental_merge = true});
+    mz::RegisterMergeOnlySplitter<DataFrame>(reg, "GroupSplit", GroupMerge,
+                                             mz::SplitterTraits{.incremental_merge = true});
     reg.SetDefaultSplitType(std::type_index(typeid(Column)), "SeriesSplit");
     reg.SetDefaultSplitType(std::type_index(typeid(DataFrame)), "FrameSplit");
     return true;

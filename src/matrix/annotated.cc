@@ -124,22 +124,6 @@ Value MatrixMerge(const Value& original, std::vector<Value> pieces,
 
 // ---- ReduceSplit<axis> (paper Ex. 5) ----
 
-RuntimeInfo ReduceVecInfo(const std::vector<double>& v, std::span<const std::int64_t> params) {
-  (void)v;
-  (void)params;
-  MZ_THROW("ReduceSplit is merge-only; it cannot appear on an argument");
-}
-
-Value ReduceVecSplitFn(const std::vector<double>& v, std::int64_t start, std::int64_t end,
-                       std::span<const std::int64_t> params, const SplitContext& ctx) {
-  (void)v;
-  (void)start;
-  (void)end;
-  (void)params;
-  (void)ctx;
-  MZ_THROW("ReduceSplit is merge-only; it cannot be split");
-}
-
 Value ReduceVecMerge(const Value& original, std::vector<Value> pieces,
                      std::span<const std::int64_t> params) {
   (void)original;
@@ -248,9 +232,7 @@ void RegisterSplits() {
                                        MatrixMerge, kMatrixTraits, MatrixWidth);
     mz::RegisterTypedSplitter<Matrix>(reg, "MatrixSplit", MatrixViewInfo, MatrixViewSplitFn,
                                       MatrixMerge, kMatrixTraits, MatrixWidth);
-    mz::RegisterTypedSplitter<std::vector<double>>(reg, "ReduceSplit", ReduceVecInfo,
-                                                   ReduceVecSplitFn, ReduceVecMerge,
-                                                   mz::SplitterTraits{.merge_only = true});
+    mz::RegisterMergeOnlySplitter<std::vector<double>>(reg, "ReduceSplit", ReduceVecMerge);
     reg.SetDefaultSplitType(std::type_index(typeid(Matrix*)), "MatrixSplit");
     reg.SetDefaultSplitType(std::type_index(typeid(Matrix)), "MatrixSplit");
     return true;

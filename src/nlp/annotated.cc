@@ -79,22 +79,6 @@ Value TaggedMerge(const Value& original, std::vector<Value> pieces,
 
 // ---- ReducePos: PosCounts partials, merged by field-wise addition ----
 
-RuntimeInfo PosInfo(const PosCounts& counts, std::span<const std::int64_t> params) {
-  (void)counts;
-  (void)params;
-  MZ_THROW("ReducePos is merge-only; it cannot appear on an argument");
-}
-
-Value PosSplitFn(const PosCounts& counts, std::int64_t start, std::int64_t end,
-                 std::span<const std::int64_t> params, const SplitContext& ctx) {
-  (void)counts;
-  (void)start;
-  (void)end;
-  (void)params;
-  (void)ctx;
-  MZ_THROW("ReducePos is merge-only; it cannot be split");
-}
-
 Value PosMerge(const Value& original, std::vector<Value> pieces,
                std::span<const std::int64_t> params) {
   (void)original;
@@ -139,8 +123,7 @@ void RegisterSplits() {
                                                                          .merge_only = false,
                                                                          .element_width = 64,
                                                                          .can_subdivide = false});
-    mz::RegisterTypedSplitter<PosCounts>(reg, "ReducePos", PosInfo, PosSplitFn, PosMerge,
-                                         mz::SplitterTraits{.merge_only = true});
+    mz::RegisterMergeOnlySplitter<PosCounts>(reg, "ReducePos", PosMerge);
     reg.SetDefaultSplitType(std::type_index(typeid(Corpus)), "MinibatchSplit");
     reg.SetDefaultSplitType(std::type_index(typeid(std::vector<TaggedDoc>)), "TaggedSplit");
     return true;

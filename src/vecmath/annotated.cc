@@ -66,22 +66,6 @@ Value ArrayMerge(const Value& original, std::vector<Value> pieces,
 
 // ---- Reduce{Add,Max,Min}: merge-only types for scalar reductions ----
 
-RuntimeInfo ReduceInfo(const double& v, std::span<const std::int64_t> params) {
-  (void)v;
-  (void)params;
-  MZ_THROW("reduction split types are merge-only; they cannot appear on an argument");
-}
-
-Value ReduceSplitFn(const double& v, std::int64_t start, std::int64_t end,
-                    std::span<const std::int64_t> params, const SplitContext& ctx) {
-  (void)v;
-  (void)start;
-  (void)end;
-  (void)params;
-  (void)ctx;
-  MZ_THROW("reduction split types are merge-only; they cannot be split");
-}
-
 template <typename Fold>
 Value ReduceMergeWith(std::vector<Value> pieces, Fold fold) {
   MZ_CHECK_MSG(!pieces.empty(), "reduction merge with no pieces");
@@ -278,12 +262,9 @@ void RegisterSplits() {
                                              kInPlaceArray);
     mz::RegisterTypedSplitter<Vec>(reg, "VecSplit", VecInfo, VecSplitFn, VecMerge, kOwnedVec);
     reg.SetDefaultSplitType(std::type_index(typeid(Vec)), "VecSplit");
-    mz::RegisterTypedSplitter<double>(reg, "ReduceAdd", ReduceInfo, ReduceSplitFn, ReduceAddMerge,
-                                      kMergeOnly);
-    mz::RegisterTypedSplitter<double>(reg, "ReduceMax", ReduceInfo, ReduceSplitFn, ReduceMaxMerge,
-                                      kMergeOnly);
-    mz::RegisterTypedSplitter<double>(reg, "ReduceMin", ReduceInfo, ReduceSplitFn, ReduceMinMerge,
-                                      kMergeOnly);
+    mz::RegisterMergeOnlySplitter<double>(reg, "ReduceAdd", ReduceAddMerge, kMergeOnly);
+    mz::RegisterMergeOnlySplitter<double>(reg, "ReduceMax", ReduceMaxMerge, kMergeOnly);
+    mz::RegisterMergeOnlySplitter<double>(reg, "ReduceMin", ReduceMinMerge, kMergeOnly);
     return true;
   }();
   (void)done;

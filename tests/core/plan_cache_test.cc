@@ -7,6 +7,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -392,8 +395,7 @@ TEST_F(PlanCacheRuntimeTest, CarryFieldsRoundTripThroughTemplates) {
   TaskGraph& graph = rt.graph_for_test();
   const int end = graph.num_nodes();
   RangeFingerprint fp = FingerprintRange(graph, Registry::Global(), 0, end, /*pipeline=*/true);
-  Planner planner(graph, Registry::Global(), /*pipeline=*/true);
-  Plan cold = planner.Build(0, end);
+  Plan cold = Planner(graph, Registry::Global(), fp).Build();
 
   bool any_carry = false;
   for (const Stage& stage : cold.stages) {
@@ -401,8 +403,8 @@ TEST_F(PlanCacheRuntimeTest, CarryFieldsRoundTripThroughTemplates) {
   }
   ASSERT_TRUE(any_carry) << "test premise: the plan must contain elided boundaries";
 
-  Plan tmpl = MakePlanTemplate(cold, fp.canon_slots, 0);
-  Plan warm = InstantiatePlan(tmpl, fp.canon_slots, 0);
+  Plan tmpl = MakePlanTemplate(cold, fp);
+  Plan warm = InstantiatePlan(tmpl, fp);
   ExpectPlansIdentical(cold, warm);
 }
 
@@ -429,8 +431,7 @@ TEST_F(PlanCacheRuntimeTest, FootprintAndDeferredFieldsRoundTripThroughTemplates
   TaskGraph& graph = rt.graph_for_test();
   const int end = graph.num_nodes();
   RangeFingerprint fp = FingerprintRange(graph, Registry::Global(), 0, end, /*pipeline=*/true);
-  Planner planner(graph, Registry::Global(), /*pipeline=*/true);
-  Plan cold = planner.Build(0, end);
+  Plan cold = Planner(graph, Registry::Global(), fp).Build();
 
   bool any_deferred = false;
   bool any_hint = false;
@@ -443,8 +444,8 @@ TEST_F(PlanCacheRuntimeTest, FootprintAndDeferredFieldsRoundTripThroughTemplates
   ASSERT_TRUE(any_deferred) << "test premise: the live future must defer a merge";
   ASSERT_TRUE(any_hint) << "test premise: column buffers must carry footprint hints";
 
-  Plan tmpl = MakePlanTemplate(cold, fp.canon_slots, 0);
-  Plan warm = InstantiatePlan(tmpl, fp.canon_slots, 0);
+  Plan tmpl = MakePlanTemplate(cold, fp);
+  Plan warm = InstantiatePlan(tmpl, fp);
   ExpectPlansIdentical(cold, warm);
 }
 
@@ -560,6 +561,198 @@ TEST_F(PlanCacheRuntimeTest, NoCacheConfiguredAlwaysPlans) {
   EXPECT_EQ(s.plans_built, 2);
   EXPECT_EQ(s.plan_cache_hits, 0);
   EXPECT_EQ(s.plan_cache_misses, 0);
+}
+
+// ---- fingerprint soundness: the key hashes exactly what the planner reads ----
+
+// The kinds of planner fact in which two range reads differ.
+std::set<std::string> FactsThatDiffer(const RangeFingerprint& a, const RangeFingerprint& b) {
+  std::set<std::string> out;
+  if (a.pins != b.pins) {
+    out.insert("annotation");
+  }
+  if (a.ctors != b.ctors) {
+    out.insert("ctor");
+  }
+  if (a.slots.size() != b.slots.size()) {
+    out.insert("aliasing");
+    return out;
+  }
+  for (std::size_t i = 0; i < a.slots.size(); ++i) {
+    const SlotFacts& x = a.slots[i];
+    const SlotFacts& y = b.slots[i];
+    if (x.pending != y.pending || x.external != y.external || x.type != y.type) {
+      out.insert("flags");
+    }
+    if (x.observed != y.observed) {
+      out.insert("external_ref");
+    }
+    if (x.probe.has_value() != y.probe.has_value()) {
+      out.insert("probe");
+    } else if (x.probe.has_value()) {
+      if (x.probe->total_elements != y.probe->total_elements) {
+        out.insert("probe_total");
+      }
+      if (x.probe->bytes_per_element != y.probe->bytes_per_element) {
+        out.insert("probe_width");
+      }
+    }
+  }
+  return out;
+}
+
+// One capture, read and planned cold. The plan is kept as a template (node-
+// and slot-relative), so plans of captures in different graphs compare.
+struct ColdPlan {
+  RangeFingerprint fp;
+  Plan tmpl;
+};
+
+// Captures `pipeline()` into a fresh runtime; whatever it returns (live
+// Futures) stays alive while the range is read and planned.
+template <typename Pipeline>
+ColdPlan PlanCold(Pipeline pipeline) {
+  RuntimeOptions opts;
+  opts.num_threads = 1;
+  Runtime rt(opts);
+  RuntimeScope scope(&rt);
+  std::shared_ptr<void> live = pipeline();
+  const TaskGraph& graph = rt.graph_for_test();
+  ColdPlan out;
+  out.fp = FingerprintRange(graph, Registry::Global(), 0, graph.num_nodes(), /*pipeline=*/true);
+  out.tmpl = MakePlanTemplate(Planner(graph, Registry::Global(), out.fp).Build(), out.fp);
+  return out;
+}
+
+df::Column Doubles(long n, double start) {
+  std::vector<double> v(static_cast<std::size_t>(n));
+  for (long i = 0; i < n; ++i) {
+    v[static_cast<std::size_t>(i)] = start + static_cast<double>(i % 7);
+  }
+  return df::Column::Doubles(std::move(v));
+}
+
+// Checks both directions for one pipeline: a capture over other data of the
+// same shape keys equal and plans identically, and `flipped` — the same
+// pipeline with exactly the fact `fact` changed — keys differently.
+void ExpectSound(const ColdPlan& base, const ColdPlan& same, const ColdPlan& flipped,
+                 const std::set<std::string>& fact) {
+  EXPECT_TRUE(FactsThatDiffer(base.fp, same.fp).empty());
+  EXPECT_TRUE(base.fp.key == same.fp.key) << "same shape, different data: keys differ";
+  ExpectPlansIdentical(base.tmpl, same.tmpl);
+  EXPECT_EQ(FactsThatDiffer(base.fp, flipped.fp), fact) << "test premise: one fact flipped";
+  EXPECT_FALSE(base.fp.key == flipped.fp.key) << "flipping the fact left the key unchanged";
+}
+
+TEST(FingerprintSoundnessTest, VecmathChainKeysOnConstructorParameters) {
+  const long n = 4096;
+  std::vector<double> a1(n + 1, 1.0), b1(n + 1, 2.0), o1(n + 1);
+  std::vector<double> a2(n + 1, 3.0), b2(n + 1, 4.0), o2(n + 1);
+  auto chain = [](long len, std::vector<double>& a, std::vector<double>& b,
+                  std::vector<double>& out) {
+    return [len, &a, &b, &out]() -> std::shared_ptr<void> {
+      mzvec::Log1p(len, a.data(), out.data());
+      mzvec::Add(len, out.data(), b.data(), out.data());
+      mzvec::Div(len, out.data(), b.data(), out.data());
+      return nullptr;
+    };
+  };
+  ExpectSound(PlanCold(chain(n, a1, b1, o1)), PlanCold(chain(n, a2, b2, o2)),
+              PlanCold(chain(n + 1, a1, b1, o1)), {"ctor"});
+}
+
+TEST(FingerprintSoundnessTest, GenericChainsKeyOnProbeTotals) {
+  // Two independent unbound-generic chains: only the totals probe tells the
+  // planner their lengths differ, so it must stage-break between them.
+  auto chains = [](long n1, long n2, double start) {
+    return [=]() -> std::shared_ptr<void> {
+      mzdf::ColSum(mzdf::ColAddC(mzdf::ColMulC(Doubles(n1, start), 2.0), 1.0));
+      mzdf::ColSum(mzdf::ColMulC(Doubles(n2, start), 3.0));
+      return nullptr;
+    };
+  };
+  ColdPlan base = PlanCold(chains(3000, 5000, 1.0));
+  ASSERT_GE(base.tmpl.stages.size(), 2u) << "test premise: the totals probe splits the chains";
+  ExpectSound(base, PlanCold(chains(3000, 5000, 9.0)), PlanCold(chains(3000, 6000, 1.0)),
+              {"probe_total"});
+}
+
+TEST(FingerprintSoundnessTest, FrameFilterKeysOnProbedRowWidth) {
+  // A frame's row width depends on its schema, so the footprint hints read
+  // the probed width: same rows, one more column, must key differently.
+  auto filter = [](int cols, double start) {
+    return [=]() -> std::shared_ptr<void> {
+      const long rows = 4000;
+      std::vector<std::string> names;
+      std::vector<df::Column> columns;
+      for (int c = 0; c < cols; ++c) {
+        names.push_back("c" + std::to_string(c));
+        columns.push_back(Doubles(rows, start + c));
+      }
+      df::DataFrame frame = df::DataFrame::Make(std::move(names), std::move(columns));
+      auto mask = mzdf::ColGtC(mzdf::ColFromFrame(frame, 0), start + 3.0);
+      mzdf::ColSum(mzdf::ColFromFrame(mzdf::FilterRows(frame, mask), 1));
+      return nullptr;
+    };
+  };
+  ExpectSound(PlanCold(filter(2, 1.0)), PlanCold(filter(2, 5.0)), PlanCold(filter(3, 1.0)),
+              {"probe_width"});
+}
+
+TEST(FingerprintSoundnessTest, HaloStencilKeysOnHaloVersusBroadcast) {
+  static const Annotated<df::Column(const df::Column&, const df::Column&)> bcast(
+      AddFirstOf, AnnotationBuilder("plan_cache_test.sound_bcast")
+                      .Arg("a", Generic("S"))
+                      .Arg("src", NoSplit())
+                      .Returns(Generic("S"))
+                      .Build());
+  static const Annotated<df::Column(const df::Column&, const df::Column&)> halo(
+      AddFirstOf, AnnotationBuilder("plan_cache_test.sound_halo")
+                      .Arg("a", Generic("S"))
+                      .Arg("src", Halo())
+                      .Returns(Generic("S"))
+                      .Build());
+  auto stencil = [](const auto& fn, double start) {
+    return [&fn, start]() -> std::shared_ptr<void> {
+      mzdf::ColSum(fn(Doubles(2000, start), Doubles(2000, start + 1.0)));
+      return nullptr;
+    };
+  };
+  ColdPlan base = PlanCold(stencil(halo, 1.0));
+  bool any_halo = false;
+  for (const Stage& stage : base.tmpl.stages) {
+    for (const StageBuffer& buf : stage.buffers) {
+      any_halo = any_halo || buf.is_halo;
+    }
+  }
+  ASSERT_TRUE(any_halo) << "test premise: the halo operand plans as a halo buffer";
+  ExpectSound(base, PlanCold(stencil(halo, 4.0)), PlanCold(stencil(bcast, 1.0)),
+              {"annotation"});
+}
+
+TEST(FingerprintSoundnessTest, DeferredMergeKeysOnLiveFuture) {
+  static long sink = 0;
+  static const Annotated<void(long)> tick(
+      [](long k) { sink += k; },
+      AnnotationBuilder("plan_cache_test.sound_tick").Arg("k", NoSplit()).Build());
+  auto pipeline = [](bool keep_mid, double start) {
+    return [=]() -> std::shared_ptr<void> {
+      auto mid = std::make_shared<Future<df::Column>>(mzdf::ColMulC(Doubles(3000, start), 2.0));
+      tick(1);
+      mzdf::ColSum(mzdf::ColAddC(*mid, 1.0));
+      return keep_mid ? mid : nullptr;
+    };
+  };
+  ColdPlan base = PlanCold(pipeline(true, 1.0));
+  bool any_deferred = false;
+  for (const Stage& stage : base.tmpl.stages) {
+    for (const StageBuffer& buf : stage.buffers) {
+      any_deferred = any_deferred || buf.deferred_merge;
+    }
+  }
+  ASSERT_TRUE(any_deferred) << "test premise: the live future defers a merge";
+  ExpectSound(base, PlanCold(pipeline(true, 6.0)), PlanCold(pipeline(false, 1.0)),
+              {"external_ref"});
 }
 
 }  // namespace

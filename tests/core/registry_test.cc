@@ -8,9 +8,11 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <string>
 #include <typeindex>
 #include <vector>
 
+#include "common/check.h"
 #include "core/splitter.h"
 #include "core/unpack.h"
 #include "core/value.h"
@@ -145,6 +147,41 @@ TEST(RegistryTest, TypesForSplitTypeListsRegisteredCppTypes) {
   auto types = reg.TypesForSplitType(InternName("RT.Inventory"));
   ASSERT_EQ(types.size(), 1u);
   EXPECT_EQ(types[0], std::type_index(typeid(double*)));
+}
+
+Value SumMerge(const Value&, std::vector<Value> pieces, std::span<const std::int64_t>) {
+  double acc = 0;
+  for (const Value& p : pieces) {
+    acc += p.As<double>();
+  }
+  return Value::Make<double>(acc);
+}
+
+TEST(RegistryTest, MergeOnlySplitterThrowsNamingTheSplitType) {
+  Registry reg;
+  InternedId id = reg.DefineSplitType("RT.MergeOnly", nullptr, nullptr);
+  RegisterMergeOnlySplitter<double>(reg, "RT.MergeOnly", SumMerge,
+                                    SplitterTraits{.incremental_merge = true});
+  const Splitter* sp = reg.FindSplitter(id, std::type_index(typeid(double)));
+  ASSERT_NE(sp, nullptr);
+  EXPECT_TRUE(sp->traits().merge_only);
+  EXPECT_TRUE(sp->traits().incremental_merge);
+  EXPECT_TRUE(reg.SplitTypeIsMergeOnly(id));
+
+  const Value v = Value::Make<double>(1.0);
+  const std::vector<std::int64_t> params;
+  auto expect_throw_naming_type = [](auto&& call) {
+    try {
+      call();
+      ADD_FAILURE() << "merge-only splitter did not throw";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("RT.MergeOnly"), std::string::npos) << e.what();
+    }
+  };
+  expect_throw_naming_type([&] { sp->Info(v, params); });
+  expect_throw_naming_type([&] { sp->Split(v, 0, 1, params, SplitContext{}); });
+  Value merged = sp->Merge(Value(), {Value::Make<double>(1.5), Value::Make<double>(2.0)}, params);
+  EXPECT_DOUBLE_EQ(merged.As<double>(), 3.5);
 }
 
 TEST(RegistryTest, GlobalRegistryIsASingleton) {

@@ -7,7 +7,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/client.h"
@@ -149,6 +151,44 @@ TEST(SessionTest, SmallPlansRunInlineOnTheCaller) {
   EvalStats::Snapshot s = session.stats().Take();
   EXPECT_EQ(s.serial_evals, 1);
   EXPECT_EQ(s.pooled_evals, 0);
+}
+
+TEST(SessionTest, AdmissionKnobsOnRuntimeOptionsAreRejected) {
+  // The admission identity and quotas live on SessionOptions itself. Set on
+  // SessionOptions::runtime they used to be overwritten silently (a runtime
+  // quota of 5 evals/s installed no quota at all); now they throw, naming
+  // the field to use instead.
+  ServingContext ctx(ServingOptions{.pool_threads = 1});
+  const std::vector<std::pair<const char*, void (*)(RuntimeOptions&)>> knobs = {
+      {"admission_session", [](RuntimeOptions& r) { r.admission_session = 7; }},
+      {"admission_weight", [](RuntimeOptions& r) { r.admission_weight = 3; }},
+      {"quota_evals_per_sec", [](RuntimeOptions& r) { r.quota_evals_per_sec = 5.0; }},
+      {"quota_bytes_per_sec", [](RuntimeOptions& r) { r.quota_bytes_per_sec = 1e6; }},
+  };
+  for (const auto& [field, set] : knobs) {
+    SessionOptions opts;
+    opts.serving = &ctx;
+    set(opts.runtime);
+    try {
+      Session session(opts);
+      ADD_FAILURE() << "runtime." << field << " was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find(std::string("SessionOptions::") + field + " instead"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(ctx.num_live_sessions(), 0);
+
+  // The SessionOptions fields themselves are honoured.
+  SessionOptions opts;
+  opts.serving = &ctx;
+  opts.admission_session = 7;
+  opts.admission_weight = 3;
+  opts.quota_evals_per_sec = 5.0;
+  Session session(opts);
+  EXPECT_EQ(session.runtime().options().quota_evals_per_sec, 5.0);
+  EXPECT_EQ(session.runtime().options().admission_session, 7u);
 }
 
 TEST(SessionTest, AggregateStatsIncludeRetiredSessions) {
