@@ -2,19 +2,14 @@
 # Lines added and removed per area between a base commit and the working
 # tree (staged and unstaged changes; untracked files count once `git add`ed).
 # Areas: src/<dir>, tests, bench, scripts, docs (Markdown anywhere and
-# docs/), and other. CHANGES.md and any further paths given after the base
-# are left out.
+# docs/), and other. ISSUE.md and CHANGES.md are left out.
 #
 # Usage:
-#   scripts/line_delta.sh [base [excluded-path...]]    # base defaults to HEAD
+#   scripts/line_delta.sh [base]    # base defaults to HEAD
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-base="${1:-HEAD}"
-shift || true
-excludes=(':(exclude)CHANGES.md')
-for path in "$@"; do excludes+=(":(exclude)$path"); done
-git diff --numstat "$base" -- . "${excludes[@]}" |
+git diff --numstat "${1:-HEAD}" -- . ':(exclude)ISSUE.md' ':(exclude)CHANGES.md' |
   awk -F '\t' '
     $1 == "-" { next }  # binary file
     {

@@ -15,9 +15,10 @@ namespace {
 
 // Fingerprint format version: bump when the word stream changes so stale
 // processes (or a future persisted cache) can never mix formats.
-// v5: one read of the range — a slot's facts (flags, C++ type, default-split
-// probe) are hashed once, at its first appearance.
-constexpr std::uint64_t kFormatVersion = 5;
+// v6: one read of the range — a slot's facts (flags, C++ type, default-split
+// probe) are hashed once, at its first appearance; split expressions are not
+// hashed, since the pinned annotation's identity fixes them.
+constexpr std::uint64_t kFormatVersion = 6;
 // Marker hashed in place of ctor parameters when the constructor defers
 // (nullopt: a parameter depends on a still-pending value).
 constexpr std::uint64_t kDeferredCtor = 0x9e3779b97f4a7c15ull;
@@ -138,7 +139,6 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
       if (expr.kind != SplitExpr::Kind::kConcrete) {
         return;
       }
-      sink.Put(expr.split_name);
       ctor_args.clear();
       for (int idx : expr.ctor_arg_indices) {
         ctor_args.push_back(graph.slot(node.args[static_cast<std::size_t>(idx)]).value);
@@ -154,7 +154,6 @@ RangeFingerprint FingerprintRange(const TaskGraph& graph, const Registry& regist
       }
     };
     for (const ArgSpec& arg : node.ann->args()) {
-      sink.Put(static_cast<std::uint64_t>(arg.expr.kind));
       put_ctor(arg.expr);
     }
     if (has_ret) {

@@ -9,10 +9,10 @@
 // it records every value-derived fact the planner reads — per distinct slot
 // its flags, held C++ type and default-split Info() probe; per concrete
 // split expression its constructor result — and hashes exactly those
-// records, together with each node's annotation and function identity,
-// arity, slot-aliasing pattern (canonical first-appearance ids, never raw
-// pointers), split-expression kinds, the registry version and the pipelining
-// flag. The planner reads values only through these records, so equal keys
+// records, together with each node's annotation identity (which fixes its
+// split expressions) and function identity, arity, slot-aliasing pattern
+// (canonical first-appearance ids, never raw pointers), the registry version
+// and the pipelining flag. The planner reads values only through these records, so equal keys
 // give equal plans by construction.
 //
 // Data pointers and value contents are deliberately NOT part of the key:

@@ -568,8 +568,14 @@ TEST_F(PlanCacheRuntimeTest, NoCacheConfiguredAlwaysPlans) {
 // The kinds of planner fact in which two range reads differ.
 std::set<std::string> FactsThatDiffer(const RangeFingerprint& a, const RangeFingerprint& b) {
   std::set<std::string> out;
-  if (a.pins != b.pins) {
-    out.insert("annotation");
+  if (a.pins.size() != b.pins.size()) {
+    out.insert("nodes");
+  } else {
+    for (std::size_t i = 0; i < a.pins.size(); ++i) {
+      if (a.pins[i] != b.pins[i]) {
+        out.insert(i % 2 == 0 ? "annotation" : "function");  // pins alternate ann, fn
+      }
+    }
   }
   if (a.ctors != b.ctors) {
     out.insert("ctor");
@@ -700,21 +706,27 @@ TEST(FingerprintSoundnessTest, FrameFilterKeysOnProbedRowWidth) {
 }
 
 TEST(FingerprintSoundnessTest, HaloStencilKeysOnHaloVersusBroadcast) {
-  static const Annotated<df::Column(const df::Column&, const df::Column&)> bcast(
-      AddFirstOf, AnnotationBuilder("plan_cache_test.sound_bcast")
-                      .Arg("a", Generic("S"))
-                      .Arg("src", NoSplit())
-                      .Returns(Generic("S"))
-                      .Build());
-  static const Annotated<df::Column(const df::Column&, const df::Column&)> halo(
-      AddFirstOf, AnnotationBuilder("plan_cache_test.sound_halo")
-                      .Arg("a", Generic("S"))
-                      .Arg("src", Halo())
-                      .Returns(Generic("S"))
-                      .Build());
-  auto stencil = [](const auto& fn, double start) {
-    return [&fn, start]() -> std::shared_ptr<void> {
-      mzdf::ColSum(fn(Doubles(2000, start), Doubles(2000, start + 1.0)));
+  // One function object under two annotations that differ only in `src`'s
+  // split expression: the annotation's identity alone tells them apart.
+  using AddFirstFunc = TypedFunc<df::Column, const df::Column&, const df::Column&>;
+  static const std::shared_ptr<const FuncBase> fn = std::make_shared<AddFirstFunc>(AddFirstOf);
+  static const auto bcast = std::make_shared<const Annotation>(
+      AnnotationBuilder("plan_cache_test.sound_bcast")
+          .Arg("a", Generic("S"))
+          .Arg("src", NoSplit())
+          .Returns(Generic("S"))
+          .Build());
+  static const auto halo = std::make_shared<const Annotation>(
+      AnnotationBuilder("plan_cache_test.sound_halo")
+          .Arg("a", Generic("S"))
+          .Arg("src", Halo())
+          .Returns(Generic("S"))
+          .Build());
+  auto stencil = [](const std::shared_ptr<const Annotation>& ann, double start) {
+    return [&ann, start]() -> std::shared_ptr<void> {
+      mzdf::ColSum(Runtime::Current()->CaptureCall<df::Column, const df::Column&,
+                                                   const df::Column&>(
+          ann, fn, Doubles(2000, start), Doubles(2000, start + 1.0)));
       return nullptr;
     };
   };
