@@ -14,6 +14,7 @@
 // digests are specific to that standard library.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -148,6 +149,37 @@ struct Inputs {
 const Inputs& In() {
   static const Inputs inputs;
   return inputs;
+}
+
+// The shapes Mozart calls the kernels at, one call per batch: Birth
+// Analysis' Lesl-filtered births (2M rows, 555k after the filter, 140
+// year/gender groups) in 2.25k-row pieces, and one 60.6k-row MovieLens
+// ratings slice against the 40k-row `users` table.
+struct BatchInputs {
+  static constexpr long kPieceRows = 2250;
+  DataFrame lesl = [] {
+    DataFrame births = workloads::MakeBabyNames(2'000'000, 21);
+    return df::FilterRows(births, df::StrStartsWith(births.col("name"), "Lesl"));
+  }();
+  workloads::MovieLensTables ml = workloads::MakeMovieLens(121'200, 40'010, 20'010, 22);
+  DataFrame ratings_piece = ml.ratings.Slice(60'600, 121'200);
+};
+
+const BatchInputs& Batch() {
+  static const BatchInputs inputs;
+  return inputs;
+}
+
+// GroupByAgg over each 2.25k-row piece of the filtered births, the partials
+// concatenated in piece order (248 of them).
+DataFrame LeslPieces(long op) {
+  const DataFrame& f = Batch().lesl;
+  std::vector<DataFrame> parts;
+  for (long r0 = 0; r0 < f.num_rows(); r0 += BatchInputs::kPieceRows) {
+    parts.push_back(df::GroupByAgg(
+        f.Slice(r0, std::min(f.num_rows(), r0 + BatchInputs::kPieceRows)), 1, 2, 3, op));
+  }
+  return DataFrame::Concat(parts);
 }
 
 Column ConstMask(long n, std::int64_t v) {
@@ -392,6 +424,28 @@ const std::vector<Case>& Cases() {
       {"join/empty_left",
        [] { return df::HashJoin(In().ml.ratings.Slice(9, 9), In().ml.users, 0, 0); },
        0x68e53ab2abfc02eaull},
+
+      // --- Per-batch shapes ---
+      {"batch/lesl_pieces_sum", [] { return LeslPieces(df::kAggSum); }, 0x69f8bca77a390f9cull},
+      {"batch/lesl_pieces_count", [] { return LeslPieces(df::kAggCount); }, 0xb1643068e17f1a1full},
+      {"batch/lesl_pieces_mean", [] { return LeslPieces(df::kAggMean); }, 0x5564b1aefa0f8a63ull},
+      {"batch/lesl_pieces_min", [] { return LeslPieces(df::kAggMin); }, 0xbe9aa4fd7374f7ceull},
+      {"batch/lesl_pieces_max", [] { return LeslPieces(df::kAggMax); }, 0xd252ce623d5c894full},
+      {"batch/lesl_reagg_sum",
+       [] { return df::ReAggregate(LeslPieces(df::kAggSum), 2, df::kAggSum); },
+       0x401fbfc26326e4d9ull},
+      {"batch/lesl_reagg_mean",
+       [] { return df::ReAggregate(LeslPieces(df::kAggMean), 2, df::kAggMean); },
+       0x7212c8812dbef7ddull},
+      {"batch/ratings_piece_join_users",
+       [] { return df::HashJoin(Batch().ratings_piece, Batch().ml.users, 0, 0); },
+       0xbb133456eea15d2full},
+      {"batch/ratings_piece_join_groupby_mean",
+       [] {
+         DataFrame joined = df::HashJoin(Batch().ratings_piece, Batch().ml.users, 0, 0);
+         return df::GroupByAgg(joined, 1, 3, 2, df::kAggMean);
+       },
+       0xe26e9bdf28801ddeull},
 
       // --- String kernels: tricky strings, slices and concatenations ---
       {"str/kernels", [] { return StringKernels(In().tricky.col("s")); }, 0xb0b79a9786f81304ull},
