@@ -9,16 +9,31 @@
 // above its floor does per-row work beyond moving its data; that is where a
 // library fix can pay.
 //
+// A second table times the hash kernels at the shapes Mozart calls them, one
+// call per batch: Birth Analysis' GroupByAgg on the Lesl-filtered births in
+// 2.25k-row pieces, and MovieLens' HashJoin against `users` and GroupByAgg
+// over 33 slices. Each shows its microseconds per call and its per-row cost
+// as a multiple of the same kernel's whole-input per-row cost, in one
+// process. A third table times the group order (HashMapOrder) against
+// building the std::unordered_map it reproduces, interleaved.
+//
 // Emits MOZART_BENCH_JSON rows (bench "df_kernels", workload = kernel,
-// config = "batch16k" or "whole"): ns_per_row, memcpy_ns_per_row, x_floor.
+// config = "batch16k" or "whole"): ns_per_row, memcpy_ns_per_row, x_floor;
+// per shape (workload = "<kernel>/<shape>", config = "per_batch"):
+// us_per_call, whole_us_per_call, x_whole, total_ms, whole_ms; per key set
+// (workload = "HashMapOrder/<keys>", config = "replay" or "unordered_map"):
+// ns_per_key, plus x_map under "replay".
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <functional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "dataframe/hash_keys.h"
 #include "dataframe/ops.h"
 #include "workloads/data_gen.h"
 
@@ -58,6 +73,101 @@ double NsPerRow(const std::function<void(long, long)>& fn, long rows, long batch
     }
   });
   return s * 1e9 / static_cast<double>(rows);
+}
+
+// Per-batch calls of one kernel over a frame of `rows` rows, cut into
+// `pieces` slices, against one call over the whole frame.
+struct Shape {
+  const char* name;
+  long rows;
+  long pieces;
+  std::function<void(long r0, long r1)> run;
+};
+
+void PerBatchTable(const std::vector<Shape>& shapes) {
+  std::printf("  %-24s %7s %6s  %11s %11s %7s  %10s %10s\n", "kernel/shape", "rows", "calls",
+              "us/call", "whole us", "x whole", "total ms", "whole ms");
+  for (const Shape& s : shapes) {
+    const long piece = (s.rows + s.pieces - 1) / s.pieces;
+    const long calls = (s.rows + piece - 1) / piece;
+    const double batch_ns = NsPerRow(s.run, s.rows, piece);
+    const double whole_ns = NsPerRow(s.run, s.rows, s.rows);
+    const double us_per_call = batch_ns * static_cast<double>(s.rows) / static_cast<double>(calls) / 1e3;
+    const double whole_us = whole_ns * static_cast<double>(s.rows) / static_cast<double>(calls) / 1e3;
+    const double x_whole = whole_ns > 0 ? batch_ns / whole_ns : 0.0;
+    const double total_ms = batch_ns * static_cast<double>(s.rows) / 1e6;
+    const double whole_ms = whole_ns * static_cast<double>(s.rows) / 1e6;
+    std::printf("  %-24s %7ld %6ld  %11.1f %11.1f %7.2f  %10.2f %10.2f\n", s.name, piece, calls,
+                us_per_call, whole_us, x_whole, total_ms, whole_ms);
+    bench::Metric("df_kernels", s.name, "per_batch", "us_per_call", us_per_call);
+    bench::Metric("df_kernels", s.name, "per_batch", "whole_us_per_call", whole_us);
+    bench::Metric("df_kernels", s.name, "per_batch", "x_whole", x_whole);
+    bench::Metric("df_kernels", s.name, "per_batch", "total_ms", total_ms);
+    bench::Metric("df_kernels", s.name, "per_batch", "whole_ms", whole_ms);
+  }
+}
+
+// The distinct (c0, c1) keys of `frame` in first-occurrence order.
+std::vector<df::internal::NumKey> DistinctKeys(const DataFrame& frame, int c0, int c1) {
+  std::unordered_set<df::internal::NumKey, df::internal::KeyHash> seen;
+  std::vector<df::internal::NumKey> keys;
+  for (long r = 0; r < frame.num_rows(); ++r) {
+    df::internal::NumKey k{frame.col(c0).i64(r), frame.col(c1).i64(r)};
+    if (seen.insert(k).second) {
+      keys.push_back(k);
+    }
+  }
+  return keys;
+}
+
+// The order HashMapOrder reproduces, from the map itself.
+std::vector<long> MapOrder(const std::vector<df::internal::NumKey>& keys) {
+  std::unordered_map<df::internal::NumKey, long, df::internal::KeyHash> map;
+  for (std::size_t g = 0; g < keys.size(); ++g) {
+    map.emplace(keys[g], static_cast<long>(g));
+  }
+  std::vector<long> order;
+  order.reserve(keys.size());
+  for (const auto& [key, g] : map) {
+    order.push_back(g);
+  }
+  return order;
+}
+
+// HashMapOrder against MapOrder on each key set, alternating the two over
+// rounds and taking each one's median.
+void OrderTable(const std::vector<std::pair<const char*, std::vector<df::internal::NumKey>>>& sets) {
+  std::printf("  %-24s %7s  %12s %12s %8s  %s\n", "keys", "count", "replay ns/k", "map ns/k",
+              "x map", "same order");
+  for (const auto& [name, keys] : sets) {
+    const long n = std::max<long>(1, static_cast<long>(keys.size()));
+    const long repeat = std::max<long>(1, 200'000 / n);  // ~0.2M keys per timing
+    auto time = [&](auto order_of) {
+      return bench::TimeSeconds([&] {
+               for (long i = 0; i < repeat; ++i) {
+                 g_sink += static_cast<long>(order_of(keys).size());
+               }
+             }) *
+             1e9 / static_cast<double>(repeat * n);
+    };
+    std::vector<double> replay;
+    std::vector<double> map;
+    for (int round = 0; round < 9; ++round) {
+      replay.push_back(time([](const auto& k) { return df::internal::HashMapOrder(k); }));
+      map.push_back(time([](const auto& k) { return MapOrder(k); }));
+    }
+    std::sort(replay.begin(), replay.end());
+    std::sort(map.begin(), map.end());
+    const double r = replay[replay.size() / 2];
+    const double m = map[map.size() / 2];
+    const bool same = df::internal::HashMapOrder(keys) == MapOrder(keys);
+    std::printf("  %-24s %7zu  %12.2f %12.2f %8.3f  %s\n", name, keys.size(), r, m,
+                m > 0 ? r / m : 0.0, same ? "yes" : "NO");
+    const std::string workload = std::string("HashMapOrder/") + name;
+    bench::Metric("df_kernels", workload, "replay", "ns_per_key", r);
+    bench::Metric("df_kernels", workload, "unordered_map", "ns_per_key", m);
+    bench::Metric("df_kernels", workload, "replay", "x_map", m > 0 ? r / m : 0.0);
+  }
 }
 
 }  // namespace
@@ -187,6 +297,32 @@ int main() {
     }
     std::printf("\n");
   }
+
+  // Birth Analysis (fig4g) calls GroupByAgg once per 2.25k-row batch of the
+  // Lesl-filtered births (140 year/gender groups); MovieLens (fig4h) calls
+  // HashJoin against the whole `users` table and GroupByAgg on the joined
+  // rows once per each of 33 batches, as perfbench and fig4_pandas do.
+  bench::Title("Per-batch calls at Mozart's batch shapes, against the whole-input rate");
+  const DataFrame lesl_births = df::FilterRows(babies, lesl);
+  const workloads::MovieLensTables movielens =
+      workloads::MakeMovieLens(rows, rows / 50 + 10, rows / 100 + 10, 4);
+  const DataFrame joined = df::HashJoin(movielens.ratings, movielens.users, 0, 0);
+  const long lesl_rows = lesl_births.num_rows();
+  PerBatchTable({
+      {"GroupByAgg/births_lesl", lesl_rows, (lesl_rows + 2249) / 2250,
+       [&](long a, long b) { Sink(df::GroupByAgg(lesl_births.Slice(a, b), 1, 2, 3, df::kAggSum)); }},
+      {"HashJoin/movielens", movielens.ratings.num_rows(), 33,
+       [&](long a, long b) {
+         Sink(df::HashJoin(movielens.ratings.Slice(a, b), movielens.users, 0, 0));
+       }},
+      {"GroupByAgg/movielens", joined.num_rows(), 33,
+       [&](long a, long b) { Sink(df::GroupByAgg(joined.Slice(a, b), 1, 3, 2, df::kAggMean)); }},
+  });
+
+  bench::Title("Group order: HashMapOrder against building the std::unordered_map");
+  OrderTable({{"births_lesl", DistinctKeys(lesl_births, 1, 2)},
+              {"movielens_batch", DistinctKeys(joined.Slice(0, (joined.num_rows() + 32) / 33), 1, 3)},
+              {"movielens", DistinctKeys(joined, 1, 3)}});
   bench::Note("(sink " + std::to_string(g_sink) + ")");
   return 0;
 }

@@ -9,9 +9,10 @@
 #include <limits>
 #include <memory>
 #include <numeric>
-#include <unordered_map>
+#include <type_traits>
 
 #include "common/check.h"
+#include "dataframe/hash_keys.h"
 
 namespace df {
 namespace {
@@ -117,51 +118,10 @@ double ParseDouble(std::string_view s, std::string& scratch) {
   return ok ? v : std::nan("");
 }
 
-// Folds a key's four member hashes into one hash code.
-std::size_t FoldKeyHash(std::int64_t a, std::int64_t b, std::size_t hsa, std::size_t hsb) {
-  std::size_t h = std::hash<std::int64_t>()(a);
-  h = h * 1315423911u ^ std::hash<std::int64_t>()(b);
-  h = h * 1315423911u ^ hsa;
-  h = h * 1315423911u ^ hsb;
-  return h;
-}
-
-std::size_t EmptyStringHash() {
-  static const std::size_t h = std::hash<std::string_view>()("");
-  return h;
-}
-
-// Group keys as strings are hashed by value; numeric keys by bit pattern.
-// String members view the key column's bytes, which outlive the key. A
-// string_view hashes as the std::string with the same bytes.
-struct GroupKey {
-  std::int64_t a = 0;
-  std::int64_t b = 0;
-  std::string_view sa;
-  std::string_view sb;
-
-  bool operator==(const GroupKey&) const = default;
-};
-
-// The string-free key used when no key column is a string. It hashes exactly
-// as the GroupKey with the same numbers and empty strings, so a map keyed by
-// NumKey iterates its groups in the same order as one keyed by GroupKey.
-struct NumKey {
-  std::int64_t a = 0;
-  std::int64_t b = 0;
-
-  bool operator==(const NumKey&) const = default;
-};
-
-struct KeyHash {
-  std::size_t operator()(const GroupKey& k) const {
-    return FoldKeyHash(k.a, k.b, std::hash<std::string_view>()(k.sa),
-                       std::hash<std::string_view>()(k.sb));
-  }
-  std::size_t operator()(const NumKey& k) const {
-    return FoldKeyHash(k.a, k.b, EmptyStringHash(), EmptyStringHash());
-  }
-};
+using internal::GroupKey;
+using internal::HashMapOrder;
+using internal::KeyHash;
+using internal::NumKey;
 
 // Double keys group at 1e-6 resolution. NaN and values whose scaled image
 // lies outside int64 (where the cast is undefined) all map to INT64_MIN, the
@@ -230,33 +190,60 @@ auto WithKeys(const Column& c0, const Column* c1, Body body) {
   return body([r0, r1](long row) { return NumKey{r0(row), r1(row)}; });
 }
 
-// The flat table's hash: KeyHash for string keys; numeric keys skip its
-// folds with the empty-string hash.
-inline std::size_t FlatHash(const GroupKey& k) { return KeyHash()(k); }
-inline std::size_t FlatHash(const NumKey& k) {
-  return static_cast<std::size_t>(k.a) * 0x9E3779B97F4A7C15ull ^ static_cast<std::size_t>(k.b);
+// The flat table's hash, whose top bits pick a key's slot (Fibonacci
+// hashing). A numeric key is a times 2^64/phi plus b times a second odd
+// constant, so runs of consecutive ids (years, user and movie ids) spread
+// evenly over the table; a string key is its KeyHash times 2^64/phi.
+inline std::uint64_t FlatHash(const NumKey& k) {
+  return static_cast<std::uint64_t>(k.a) * 0x9E3779B97F4A7C15ull +
+         static_cast<std::uint64_t>(k.b) * 0xC2B2AE3D27D4EB4Full;
 }
+inline std::uint64_t FlatHash(const GroupKey& k) { return KeyHash()(k) * 0x9E3779B97F4A7C15ull; }
 
-// Groups keys in first-occurrence order through an open-addressing table.
+// Groups keys in first-occurrence order through an open-addressing table
+// with linear probing, kept at most a quarter full. A slot holds the top 32
+// bits of its key's FlatHash and its group index + 1 (0 when empty), so a
+// probe reads a key only on a 32-bit hash match and growth rehashes from
+// the slots alone.
 template <typename Key>
 class FlatGroups {
  public:
+  // A table with room for `groups` groups before it first grows.
+  explicit FlatGroups(long groups) {
+    Resize(std::max<std::size_t>(16, std::bit_ceil(4 * static_cast<std::size_t>(groups))));
+    keys_.reserve(static_cast<std::size_t>(groups));
+  }
+
   // The group index of `key` and whether this call added the group.
   std::pair<long, bool> Insert(const Key& key) {
     if (4 * (keys_.size() + 1) > slots_.size()) {
       Grow();
     }
-    const std::size_t h = FlatHash(key);
-    for (std::size_t i = Slot(h);; i = (i + 1) & (slots_.size() - 1)) {
-      const long g = slots_[i];
-      if (g < 0) {
-        slots_[i] = static_cast<long>(keys_.size());
+    const std::uint64_t m = FlatHash(key);
+    for (std::size_t i = m >> shift_;; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.group == 0) {
+        MZ_CHECK_MSG(keys_.size() < UINT32_MAX - 1, "too many groups");
         keys_.push_back(key);
-        hashes_.push_back(h);
-        return {slots_[i], true};
+        slot = {static_cast<std::uint32_t>(m >> 32), static_cast<std::uint32_t>(keys_.size())};
+        return {static_cast<long>(keys_.size()) - 1, true};
       }
-      if (hashes_[static_cast<std::size_t>(g)] == h && keys_[static_cast<std::size_t>(g)] == key) {
-        return {g, false};
+      if (slot.tag == m >> 32 && keys_[slot.group - 1] == key) {
+        return {static_cast<long>(slot.group) - 1, false};
+      }
+    }
+  }
+
+  // The group index of `key`, or -1 when no row had it.
+  long Find(const Key& key) const {
+    const std::uint64_t m = FlatHash(key);
+    for (std::size_t i = m >> shift_;; i = (i + 1) & (slots_.size() - 1)) {
+      const Slot& slot = slots_[i];
+      if (slot.group == 0) {
+        return -1;
+      }
+      if (slot.tag == m >> 32 && keys_[slot.group - 1] == key) {
+        return static_cast<long>(slot.group) - 1;
       }
     }
   }
@@ -265,44 +252,65 @@ class FlatGroups {
   const std::vector<Key>& keys() const { return keys_; }
 
  private:
-  // Fibonacci hashing: the top bits of h times 2^64/phi.
-  std::size_t Slot(std::size_t h) const { return (h * 0x9E3779B97F4A7C15ull) >> shift_; }
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t group = 0;  // group index + 1; 0 when empty
+  };
+
+  void Resize(std::size_t size) {
+    MZ_CHECK_MSG(size <= (std::size_t{1} << 32), "group table too large");
+    shift_ = 64 - std::countr_zero(size);
+    slots_.assign(size, Slot{});
+  }
 
   void Grow() {
-    const std::size_t size = std::max<std::size_t>(16, 2 * slots_.size());
-    shift_ = 64 - std::countr_zero(size);
-    slots_.assign(size, -1);
-    for (std::size_t g = 0; g < keys_.size(); ++g) {
-      std::size_t i = Slot(hashes_[g]);
-      while (slots_[i] >= 0) {
-        i = (i + 1) & (size - 1);
+    std::vector<Slot> old = std::move(slots_);
+    Resize(2 * old.size());
+    for (const Slot& slot : old) {
+      if (slot.group == 0) {
+        continue;
       }
-      slots_[i] = static_cast<long>(g);
+      std::size_t i = (static_cast<std::uint64_t>(slot.tag) << 32) >> shift_;
+      while (slots_[i].group != 0) {
+        i = (i + 1) & (slots_.size() - 1);
+      }
+      slots_[i] = slot;
     }
   }
 
-  std::vector<long> slots_;  // group index, or -1 when empty
+  std::vector<Slot> slots_;
   std::vector<Key> keys_;
-  std::vector<std::size_t> hashes_;
   int shift_ = 64;
 };
 
-// Group indexes in the order a std::unordered_map<Key, _, KeyHash> iterates
-// its keys when they are inserted in index order. libstdc++'s iteration
-// order depends only on the sequence of distinct insertions, so this is the
-// order a hash-map group-by inserting groups as they occur emits them in.
+// A group-by's table and per-group vectors start with room for this many
+// groups, or for one per row when there are fewer rows: group-bys of up to
+// a few hundred groups (years, genders, categories) never grow, and their
+// 8 KiB table stays in L1.
+constexpr long kGroupsSizedUpFront = 256;
+
+long GroupsUpFront(long rows) { return std::min(rows, kGroupsSizedUpFront); }
+
+// A group-by's output rows: each group's first row and its `aggs.size()`
+// aggregates (group g's at [g * width, (g + 1) * width) in `group_aggs`),
+// in the order HashMapOrder gives the groups' keys.
 template <typename Key>
-std::vector<long> HashMapOrder(const std::vector<Key>& keys) {
-  std::unordered_map<Key, long, KeyHash> map;
-  for (std::size_t g = 0; g < keys.size(); ++g) {
-    map.emplace(keys[g], static_cast<long>(g));
+void InMapOrder(const std::vector<Key>& keys, const std::vector<long>& group_first_rows,
+                const std::vector<double>& group_aggs, std::vector<long>& first_rows,
+                std::vector<std::vector<double>>& aggs) {
+  const std::vector<long> order = HashMapOrder(keys);
+  const std::size_t width = aggs.size();
+  first_rows.resize(order.size());
+  for (std::vector<double>& col : aggs) {
+    col.resize(order.size());
   }
-  std::vector<long> order;
-  order.reserve(keys.size());
-  for (const auto& [key, g] : map) {
-    order.push_back(g);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const auto g = static_cast<std::size_t>(order[i]);
+    first_rows[i] = group_first_rows[g];
+    for (std::size_t v = 0; v < width; ++v) {
+      aggs[v][i] = group_aggs[g * width + v];
+    }
   }
-  return order;
 }
 
 // Reads a numeric aggregation value column as doubles.
@@ -568,44 +576,66 @@ DataFrame FilterRows(const DataFrame& frame, const Column& mask) {
 DataFrame GroupByAgg(const DataFrame& frame, long key0, long key1, long val, long op) {
   const Column& k0 = frame.col(static_cast<int>(key0));
   const Column* k1 = key1 >= 0 ? &frame.col(static_cast<int>(key1)) : nullptr;
-  ValueReader value(frame.col(static_cast<int>(val)));
+  const ValueReader value(frame.col(static_cast<int>(val)));
+  const long rows = frame.num_rows();
 
-  struct Agg {
-    double sum = 0;
-    double count = 0;
-    double mn = 0;
-    double mx = 0;
-    long first_row = 0;
-  };
+  // The aggregates `op` emits: one (sum, count, min or max) or two (a
+  // mean's sum and count). Sums and counts start at 0 and add every row of
+  // the group; min and max start at its first value.
   std::vector<long> first_rows;
-  std::vector<double> sums;
-  std::vector<double> counts;
-  std::vector<double> mins;
-  std::vector<double> maxs;
-  WithKeys(k0, k1, [&](auto key_at) {
-    FlatGroups<decltype(key_at(0L))> groups;
-    std::vector<Agg> aggs;
-    for (long r = 0; r < frame.num_rows(); ++r) {
-      auto [g, inserted] = groups.Insert(key_at(r));
-      double x = value(r);
+  std::vector<std::vector<double>> aggs(op == kAggMean ? 2 : 1);
+  auto aggregate = [&](auto op_constant, auto key_at) {
+    constexpr long kOp = decltype(op_constant)::value;
+    constexpr std::size_t kWidth = kOp == kAggMean ? 2 : 1;
+    FlatGroups<decltype(key_at(0L))> groups(GroupsUpFront(rows));
+    std::vector<long> group_first_rows;
+    std::vector<double> group_aggs;  // group g's at [g * kWidth, (g + 1) * kWidth)
+    group_first_rows.reserve(static_cast<std::size_t>(GroupsUpFront(rows)));
+    group_aggs.reserve(static_cast<std::size_t>(GroupsUpFront(rows)) * kWidth);
+    for (long r = 0; r < rows; ++r) {
+      const auto [g, inserted] = groups.Insert(key_at(r));
       if (inserted) {
-        aggs.push_back({.mn = x, .mx = x, .first_row = r});
+        group_first_rows.push_back(r);
       }
-      Agg& agg = aggs[static_cast<std::size_t>(g)];
-      if (!inserted) {
-        agg.mn = std::min(agg.mn, x);
-        agg.mx = std::max(agg.mx, x);
+      if constexpr (kOp == kAggMin || kOp == kAggMax) {
+        const double x = value(r);
+        if (inserted) {
+          group_aggs.push_back(x);
+        } else {
+          double& acc = group_aggs[static_cast<std::size_t>(g)];
+          acc = kOp == kAggMin ? std::min(acc, x) : std::max(acc, x);
+        }
+        continue;
       }
-      agg.sum += x;
-      agg.count += 1;
+      if (inserted) {
+        group_aggs.resize(group_aggs.size() + kWidth, 0.0);
+      }
+      double* acc = &group_aggs[static_cast<std::size_t>(g) * kWidth];
+      if constexpr (kOp == kAggCount) {
+        acc[0] += 1;
+      } else {
+        acc[0] += value(r);
+        if constexpr (kOp == kAggMean) {
+          acc[1] += 1;
+        }
+      }
     }
-    for (long g : HashMapOrder(groups.keys())) {
-      const Agg& agg = aggs[static_cast<std::size_t>(g)];
-      first_rows.push_back(agg.first_row);
-      sums.push_back(agg.sum);
-      counts.push_back(agg.count);
-      mins.push_back(agg.mn);
-      maxs.push_back(agg.mx);
+    InMapOrder(groups.keys(), group_first_rows, group_aggs, first_rows, aggs);
+  };
+  WithKeys(k0, k1, [&](auto key_at) {
+    switch (op) {
+      case kAggSum:
+        return aggregate(std::integral_constant<long, kAggSum>(), key_at);
+      case kAggCount:
+        return aggregate(std::integral_constant<long, kAggCount>(), key_at);
+      case kAggMean:
+        return aggregate(std::integral_constant<long, kAggMean>(), key_at);
+      case kAggMin:
+        return aggregate(std::integral_constant<long, kAggMin>(), key_at);
+      case kAggMax:
+        return aggregate(std::integral_constant<long, kAggMax>(), key_at);
+      default:
+        MZ_THROW("unknown aggregation op " << op);
     }
   });
 
@@ -618,31 +648,13 @@ DataFrame GroupByAgg(const DataFrame& frame, long key0, long key1, long val, lon
     names.push_back(frame.names()[static_cast<std::size_t>(key1)]);
     cols.push_back(k1->Take(first_rows));
   }
-  switch (op) {
-    case kAggSum:
-      names.push_back("sum");
-      cols.push_back(Column::Doubles(std::move(sums)));
-      break;
-    case kAggCount:
-      names.push_back("count");
-      cols.push_back(Column::Doubles(std::move(counts)));
-      break;
-    case kAggMean:
-      names.push_back("sum");
-      cols.push_back(Column::Doubles(std::move(sums)));
-      names.push_back("count");
-      cols.push_back(Column::Doubles(std::move(counts)));
-      break;
-    case kAggMin:
-      names.push_back("min");
-      cols.push_back(Column::Doubles(std::move(mins)));
-      break;
-    case kAggMax:
-      names.push_back("max");
-      cols.push_back(Column::Doubles(std::move(maxs)));
-      break;
-    default:
-      MZ_THROW("unknown aggregation op " << op);
+  static const char* const kAggNames[] = {"sum", "count", "sum", "min", "max"};
+  names.push_back(kAggNames[op]);
+  if (op == kAggMean) {
+    names.push_back("count");
+  }
+  for (std::vector<double>& col : aggs) {
+    cols.push_back(Column::Doubles(std::move(col)));
   }
   return DataFrame::Make(std::move(names), std::move(cols));
 }
@@ -656,20 +668,46 @@ DataFrame HashJoin(const DataFrame& left, const DataFrame& right, long left_key,
   std::vector<long> lrows;
   std::vector<long> rrows;
   auto join = [&](auto left_key_at, auto right_key_at) {
-    std::unordered_map<decltype(right_key_at(0L)), std::vector<long>, KeyHash> build;
-    for (long r = 0; r < right.num_rows(); ++r) {
-      build[right_key_at(r)].push_back(r);
+    // Build: the right side's keys as groups.
+    const long nr = right.num_rows();
+    FlatGroups<decltype(right_key_at(0L))> build(nr);
+    std::vector<long> group_of(static_cast<std::size_t>(nr));
+    for (long r = 0; r < nr; ++r) {
+      group_of[static_cast<std::size_t>(r)] = build.Insert(right_key_at(r)).first;
     }
     lrows.reserve(static_cast<std::size_t>(left.num_rows()));
     rrows.reserve(static_cast<std::size_t>(left.num_rows()));
+    if (static_cast<long>(build.keys().size()) == nr) {
+      // Every right key is distinct (a dimension table): group g is row g.
+      for (long r = 0; r < left.num_rows(); ++r) {
+        const long g = build.Find(left_key_at(r));
+        if (g >= 0) {
+          lrows.push_back(r);
+          rrows.push_back(g);
+        }
+      }
+      return;
+    }
+    // Each group's right rows in row order at by_group[start[g],
+    // start[g + 1]) (a counting sort).
+    std::vector<long> start(build.keys().size() + 2, 0);
+    for (long g : group_of) {
+      ++start[static_cast<std::size_t>(g) + 2];
+    }
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    std::vector<long> by_group(static_cast<std::size_t>(nr));
+    for (long r = 0; r < nr; ++r) {
+      by_group[static_cast<std::size_t>(start[static_cast<std::size_t>(group_of[static_cast<std::size_t>(r)]) + 1]++)] = r;
+    }
+
     for (long r = 0; r < left.num_rows(); ++r) {
-      auto it = build.find(left_key_at(r));
-      if (it == build.end()) {
+      const long g = build.Find(left_key_at(r));
+      if (g < 0) {
         continue;
       }
-      for (long rr : it->second) {
+      for (long i = start[static_cast<std::size_t>(g)]; i < start[static_cast<std::size_t>(g) + 1]; ++i) {
         lrows.push_back(r);
-        rrows.push_back(rr);
+        rrows.push_back(by_group[static_cast<std::size_t>(i)]);
       }
     }
   };
@@ -704,8 +742,7 @@ DataFrame ReAggregate(const DataFrame& partials, long num_keys, long op) {
   const Column& k0 = partials.col(0);
   const Column* k1 = num_keys == 2 ? &partials.col(1) : nullptr;
   const int num_vals = partials.num_cols() - static_cast<int>(num_keys);
-  const bool fold_min = op == kAggMin;
-  const bool fold_max = op == kAggMax;
+  const long rows = partials.num_rows();
 
   std::vector<std::span<const double>> in;
   for (int v = 0; v < num_vals; ++v) {
@@ -713,11 +750,15 @@ DataFrame ReAggregate(const DataFrame& partials, long num_keys, long op) {
   }
   std::vector<long> first_rows;
   std::vector<std::vector<double>> vals(static_cast<std::size_t>(num_vals));
-  WithKeys(k0, k1, [&](auto key_at) {
-    FlatGroups<decltype(key_at(0L))> groups;
+  // Min and max partials fold by min and max; sum, count and mean partials
+  // all re-sum.
+  auto reaggregate = [&](auto fold, auto key_at) {
+    FlatGroups<decltype(key_at(0L))> groups(GroupsUpFront(rows));
     std::vector<long> group_first_rows;
     std::vector<double> accs;  // group g's values at [g * num_vals, (g + 1) * num_vals)
-    for (long r = 0; r < partials.num_rows(); ++r) {
+    group_first_rows.reserve(static_cast<std::size_t>(GroupsUpFront(rows)));
+    accs.reserve(static_cast<std::size_t>(GroupsUpFront(rows) * num_vals));
+    for (long r = 0; r < rows; ++r) {
       auto [g, inserted] = groups.Insert(key_at(r));
       if (inserted) {
         group_first_rows.push_back(r);
@@ -727,23 +768,19 @@ DataFrame ReAggregate(const DataFrame& partials, long num_keys, long op) {
         continue;
       }
       for (int v = 0; v < num_vals; ++v) {
-        double x = in[static_cast<std::size_t>(v)][static_cast<std::size_t>(r)];
         double& acc = accs[static_cast<std::size_t>(g * num_vals + v)];
-        if (fold_min) {
-          acc = std::min(acc, x);
-        } else if (fold_max) {
-          acc = std::max(acc, x);
-        } else {
-          acc += x;  // sum, count, and mean partials all re-sum
-        }
+        acc = fold(acc, in[static_cast<std::size_t>(v)][static_cast<std::size_t>(r)]);
       }
     }
-    for (long g : HashMapOrder(groups.keys())) {
-      first_rows.push_back(group_first_rows[static_cast<std::size_t>(g)]);
-      for (int v = 0; v < num_vals; ++v) {
-        vals[static_cast<std::size_t>(v)].push_back(
-            accs[static_cast<std::size_t>(g * num_vals + v)]);
-      }
+    InMapOrder(groups.keys(), group_first_rows, accs, first_rows, vals);
+  };
+  WithKeys(k0, k1, [&](auto key_at) {
+    if (op == kAggMin) {
+      reaggregate([](double acc, double x) { return std::min(acc, x); }, key_at);
+    } else if (op == kAggMax) {
+      reaggregate([](double acc, double x) { return std::max(acc, x); }, key_at);
+    } else {
+      reaggregate([](double acc, double x) { return acc + x; }, key_at);
     }
   });
 

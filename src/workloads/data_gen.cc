@@ -1,6 +1,8 @@
 #include "workloads/data_gen.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,10 @@ df::DataFrame MakeCityStats(long rows, std::uint64_t seed) {
   df::StringColumnBuilder cities;
   std::vector<double> population;
   std::vector<double> crimes;
+  // Every name is at most as long as "city<rows>".
+  cities.Reserve(rows, rows * static_cast<long>(("city" + std::to_string(rows)).size()));
+  population.reserve(static_cast<std::size_t>(rows));
+  crimes.reserve(static_cast<std::size_t>(rows));
   for (long i = 0; i < rows; ++i) {
     cities.Append("city" + std::to_string(i));
     // Log-ish spread: many small towns, few metropolises.
@@ -61,6 +67,14 @@ df::DataFrame MakeBabyNames(long rows, std::uint64_t seed) {
   std::vector<std::int64_t> years;
   std::vector<std::int64_t> genders;
   std::vector<double> births;
+  std::size_t longest = 0;
+  for (const char* name : kNames) {
+    longest = std::max(longest, std::strlen(name));
+  }
+  names.Reserve(rows, rows * static_cast<long>(longest));
+  years.reserve(static_cast<std::size_t>(rows));
+  genders.reserve(static_cast<std::size_t>(rows));
+  births.reserve(static_cast<std::size_t>(rows));
   for (long i = 0; i < rows; ++i) {
     names.Append(kNames[rng.NextBounded(18)]);
     years.push_back(1940 + static_cast<std::int64_t>(rng.NextBounded(70)));
@@ -81,6 +95,9 @@ MovieLensTables MakeMovieLens(long num_ratings, long num_users, long num_movies,
   std::vector<std::int64_t> r_user;
   std::vector<std::int64_t> r_movie;
   std::vector<double> r_rating;
+  r_user.reserve(static_cast<std::size_t>(num_ratings));
+  r_movie.reserve(static_cast<std::size_t>(num_ratings));
+  r_rating.reserve(static_cast<std::size_t>(num_ratings));
   for (long i = 0; i < num_ratings; ++i) {
     r_user.push_back(static_cast<std::int64_t>(rng.NextBounded(
         static_cast<std::uint64_t>(num_users))));
@@ -96,6 +113,8 @@ MovieLensTables MakeMovieLens(long num_ratings, long num_users, long num_movies,
 
   std::vector<std::int64_t> u_user;
   std::vector<std::int64_t> u_gender;
+  u_user.reserve(static_cast<std::size_t>(num_users));
+  u_gender.reserve(static_cast<std::size_t>(num_users));
   for (long i = 0; i < num_users; ++i) {
     u_user.push_back(i);
     u_gender.push_back(static_cast<std::int64_t>(rng.NextBounded(2)));
@@ -106,6 +125,9 @@ MovieLensTables MakeMovieLens(long num_ratings, long num_users, long num_movies,
 
   std::vector<std::int64_t> m_movie;
   df::StringColumnBuilder m_title;
+  m_movie.reserve(static_cast<std::size_t>(num_movies));
+  m_title.Reserve(num_movies,
+                  num_movies * static_cast<long>(("movie_" + std::to_string(num_movies)).size()));
   for (long i = 0; i < num_movies; ++i) {
     m_movie.push_back(i);
     m_title.Append("movie_" + std::to_string(i));
