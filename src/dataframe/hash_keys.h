@@ -68,25 +68,6 @@ struct KeyHash {
   }
 };
 
-// x % d for a fixed d by two multiplications instead of a division,
-// exact for every 64-bit x (Lemire, Kaser and Kurz, "Faster remainder by
-// direct computation", 2019).
-class FastMod {
- public:
-  explicit FastMod(std::uint64_t d) : d_(d), m_(~U128{0} / d + 1) {}
-
-  std::uint64_t operator()(std::uint64_t x) const {
-    const U128 low = m_ * x;
-    const U128 bottom = (low & ~std::uint64_t{0}) * d_ >> 64;
-    return static_cast<std::uint64_t>((bottom + (low >> 64) * d_) >> 64);
-  }
-
- private:
-  __extension__ using U128 = unsigned __int128;
-  std::uint64_t d_;
-  U128 m_;
-};
-
 // Indexes into `keys` (all distinct) in the order a
 // std::unordered_map<Key, long, Hash> iterates them after inserting them in
 // index order. That order depends only on the sequence of hash codes.
@@ -123,25 +104,34 @@ std::vector<long> HashMapOrder(const std::vector<Key>& keys) {
   std::vector<std::int32_t> rank(n);
   std::vector<std::int32_t> start(n + 1);
   std::vector<std::int32_t> bucket_rank;
-  std::size_t buckets = 1;  // a new table's single bucket
+  // A new table has one bucket, and its first insert rehashes.
   std::__detail::_Prime_rehash_policy policy;
+  std::size_t buckets = n > 0 ? policy._M_need_rehash(1, 0, 1).second : 1;
   for (std::size_t size = 0; size < n;) {
-    // Inserting key `size` rehashes (always so for the first key); the
-    // keys before the next rehash land in the same bucket count.
-    const auto [rehash, count] = policy._M_need_rehash(buckets, size, 1);
-    if (rehash) {
-      buckets = count;
+    // Keys [size, end) go in at `buckets` buckets; inserting key `end`
+    // rehashes to `next`. As in the table, the policy is asked only when an
+    // insert would pass _M_next_resize.
+    std::size_t end = size + 1;
+    std::size_t next = buckets;
+    while (end < n) {
+      if (end + 1 <= policy._M_next_resize) {
+        end = std::min(n, policy._M_next_resize);
+        continue;
+      }
+      const auto [rehash, count] = policy._M_need_rehash(buckets, end, 1);
+      if (rehash) {
+        next = count;
+        break;
+      }
     }
-    const std::size_t end = std::min(n, std::max(size + 1, policy._M_next_resize));
     std::reverse_copy(backwards.begin(), backwards.begin() + static_cast<long>(size), seq.begin());
     std::iota(seq.begin() + static_cast<long>(size), seq.begin() + static_cast<long>(end),
               static_cast<std::int32_t>(size));
-    const FastMod bucket_of(buckets);
     bucket_rank.assign(buckets, -1);
     std::fill(start.begin(), start.begin() + static_cast<long>(end) + 1, 0);
     std::int32_t ranks = 0;
     for (std::size_t i = 0; i < end; ++i) {
-      const std::size_t b = bucket_of(codes[static_cast<std::size_t>(seq[i])]);
+      const std::size_t b = codes[static_cast<std::size_t>(seq[i])] % buckets;
       // Branch-free: buckets come in no pattern.
       std::int32_t r = bucket_rank[b];
       const bool first = r < 0;
@@ -156,6 +146,7 @@ std::vector<long> HashMapOrder(const std::vector<Key>& keys) {
       backwards[static_cast<std::size_t>(start[static_cast<std::size_t>(rank[i])]++)] = seq[i];
     }
     size = end;
+    buckets = next;
   }
   return std::vector<long>(backwards.rbegin(), backwards.rend());
 #else
