@@ -608,7 +608,9 @@ DataFrame GroupByAgg(const DataFrame& frame, long key0, long key1, long val, lon
         continue;
       }
       if (inserted) {
-        group_aggs.resize(group_aggs.size() + kWidth, 0.0);
+        for (std::size_t v = 0; v < kWidth; ++v) {
+          group_aggs.push_back(0);
+        }
       }
       double* acc = &group_aggs[static_cast<std::size_t>(g) * kWidth];
       if constexpr (kOp == kAggCount) {
