@@ -92,8 +92,9 @@ void PerBatchTable(const std::vector<Shape>& shapes) {
     const long calls = (s.rows + piece - 1) / piece;
     const double batch_ns = NsPerRow(s.run, s.rows, piece);
     const double whole_ns = NsPerRow(s.run, s.rows, s.rows);
-    const double us_per_call = batch_ns * static_cast<double>(s.rows) / static_cast<double>(calls) / 1e3;
-    const double whole_us = whole_ns * static_cast<double>(s.rows) / static_cast<double>(calls) / 1e3;
+    const double rows_per_call = static_cast<double>(s.rows) / static_cast<double>(calls);
+    const double us_per_call = batch_ns * rows_per_call / 1e3;
+    const double whole_us = whole_ns * rows_per_call / 1e3;
     const double x_whole = whole_ns > 0 ? batch_ns / whole_ns : 0.0;
     const double total_ms = batch_ns * static_cast<double>(s.rows) / 1e6;
     const double whole_ms = whole_ns * static_cast<double>(s.rows) / 1e6;
@@ -136,7 +137,9 @@ std::vector<long> MapOrder(const std::vector<df::internal::NumKey>& keys) {
 
 // HashMapOrder against MapOrder on each key set, alternating the two over
 // rounds and taking each one's median.
-void OrderTable(const std::vector<std::pair<const char*, std::vector<df::internal::NumKey>>>& sets) {
+using KeySet = std::pair<const char*, std::vector<df::internal::NumKey>>;
+
+void OrderTable(const std::vector<KeySet>& sets) {
   std::printf("  %-24s %7s  %12s %12s %8s  %s\n", "keys", "count", "replay ns/k", "map ns/k",
               "x map", "same order");
   for (const auto& [name, keys] : sets) {
@@ -310,7 +313,9 @@ int main() {
   const long lesl_rows = lesl_births.num_rows();
   PerBatchTable({
       {"GroupByAgg/births_lesl", lesl_rows, (lesl_rows + 2249) / 2250,
-       [&](long a, long b) { Sink(df::GroupByAgg(lesl_births.Slice(a, b), 1, 2, 3, df::kAggSum)); }},
+       [&](long a, long b) {
+         Sink(df::GroupByAgg(lesl_births.Slice(a, b), 1, 2, 3, df::kAggSum));
+       }},
       {"HashJoin/movielens", movielens.ratings.num_rows(), 33,
        [&](long a, long b) {
          Sink(df::HashJoin(movielens.ratings.Slice(a, b), movielens.users, 0, 0));
@@ -320,8 +325,9 @@ int main() {
   });
 
   bench::Title("Group order: HashMapOrder against building the std::unordered_map");
+  const DataFrame first_batch = joined.Slice(0, (joined.num_rows() + 32) / 33);
   OrderTable({{"births_lesl", DistinctKeys(lesl_births, 1, 2)},
-              {"movielens_batch", DistinctKeys(joined.Slice(0, (joined.num_rows() + 32) / 33), 1, 3)},
+              {"movielens_batch", DistinctKeys(first_batch, 1, 3)},
               {"movielens", DistinctKeys(joined, 1, 3)}});
   bench::Note("(sink " + std::to_string(g_sink) + ")");
   return 0;

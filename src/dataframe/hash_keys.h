@@ -70,8 +70,8 @@ struct KeyHash {
 
 // x % d by multiplications instead of a division, exact for every 64-bit x
 // and d > 1 (Lemire, Kaser and Kurz, "Faster remainder by direct
-// computation", 2019). In HashMapOrder it cut a 140-key replay from about
-// 2.4 to 1.9 us.
+// computation", 2019). HashMapOrder takes one remainder per key per rehash,
+// and the division was about a fifth of its time.
 class FastMod {
  public:
   explicit FastMod(std::uint64_t d) : d_(d), m_(~U128{0} / d + 1) {}

@@ -699,7 +699,8 @@ DataFrame HashJoin(const DataFrame& left, const DataFrame& right, long left_key,
     std::partial_sum(start.begin(), start.end(), start.begin());
     std::vector<long> by_group(static_cast<std::size_t>(nr));
     for (long r = 0; r < nr; ++r) {
-      by_group[static_cast<std::size_t>(start[static_cast<std::size_t>(group_of[static_cast<std::size_t>(r)]) + 1]++)] = r;
+      const auto g = static_cast<std::size_t>(group_of[static_cast<std::size_t>(r)]);
+      by_group[static_cast<std::size_t>(start[g + 1]++)] = r;
     }
 
     for (long r = 0; r < left.num_rows(); ++r) {
@@ -707,7 +708,8 @@ DataFrame HashJoin(const DataFrame& left, const DataFrame& right, long left_key,
       if (g < 0) {
         continue;
       }
-      for (long i = start[static_cast<std::size_t>(g)]; i < start[static_cast<std::size_t>(g) + 1]; ++i) {
+      const auto gi = static_cast<std::size_t>(g);
+      for (long i = start[gi]; i < start[gi + 1]; ++i) {
         lrows.push_back(r);
         rrows.push_back(by_group[static_cast<std::size_t>(i)]);
       }

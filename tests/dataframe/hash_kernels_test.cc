@@ -273,7 +273,8 @@ void ExpectSameFrame(const DataFrame& got, const DataFrame& want, const std::str
 
 // A key column of `n` rows drawn from `domain` values of one type.
 Column RandomKeys(mz::Rng& rng, df::ColType type, long n, long domain) {
-  const std::string strings[] = {"", "a", "ab", std::string("a\0b", 3), "\xc3\xa9", "a long key past 16 bytes"};
+  const std::string strings[] = {"",         "a", "ab", std::string("a\0b", 3), "\xc3\xa9",
+                                 "a long key past 16 bytes"};
   std::vector<std::int64_t> ints;
   std::vector<double> doubles;
   std::vector<std::string> strs;
