@@ -677,19 +677,6 @@ DataFrame HashJoin(const DataFrame& left, const DataFrame& right, long left_key,
     for (long r = 0; r < nr; ++r) {
       group_of[static_cast<std::size_t>(r)] = build.Insert(right_key_at(r)).first;
     }
-    lrows.reserve(static_cast<std::size_t>(left.num_rows()));
-    rrows.reserve(static_cast<std::size_t>(left.num_rows()));
-    if (static_cast<long>(build.keys().size()) == nr) {
-      // Every right key is distinct (a dimension table): group g is row g.
-      for (long r = 0; r < left.num_rows(); ++r) {
-        const long g = build.Find(left_key_at(r));
-        if (g >= 0) {
-          lrows.push_back(r);
-          rrows.push_back(g);
-        }
-      }
-      return;
-    }
     // Each group's right rows in row order at by_group[start[g],
     // start[g + 1]) (a counting sort).
     std::vector<long> start(build.keys().size() + 2, 0);
@@ -703,6 +690,8 @@ DataFrame HashJoin(const DataFrame& left, const DataFrame& right, long left_key,
       by_group[static_cast<std::size_t>(start[g + 1]++)] = r;
     }
 
+    lrows.reserve(static_cast<std::size_t>(left.num_rows()));
+    rrows.reserve(static_cast<std::size_t>(left.num_rows()));
     for (long r = 0; r < left.num_rows(); ++r) {
       const long g = build.Find(left_key_at(r));
       if (g < 0) {
